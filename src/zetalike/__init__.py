@@ -66,14 +66,9 @@ from .verify import (
     quadrature_check_integral,
     rerun,
     run_suite,
-    verify_eta_hook_closed_form,
     verify_eta_hook_sum,
-    verify_eta_triple_sum,
     verify_remark_chain,
     verify_rho_eta_connection,
-    verify_rho_sum_fixed_weight,
-    verify_rho_sum_general,
-    verify_rho_weighted_sum,
     verify_suffix_balance,
     verify_tables,
     verify_weighted_corollaries,
@@ -129,14 +124,9 @@ __all__ = [
     "rising_factorial",
     "run_suite",
     "suffix_balance_sum",
-    "verify_eta_hook_closed_form",
     "verify_eta_hook_sum",
-    "verify_eta_triple_sum",
     "verify_remark_chain",
     "verify_rho_eta_connection",
-    "verify_rho_sum_fixed_weight",
-    "verify_rho_sum_general",
-    "verify_rho_weighted_sum",
     "verify_suffix_balance",
     "verify_tables",
     "verify_weighted_corollaries",

@@ -46,8 +46,7 @@ def _csv_dumps(rows: list[dict], fieldnames: list[str]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -62,70 +61,41 @@ def _markdown_table(rows: list[dict], fieldnames: list[str]) -> str:
 # Subcommand implementations
 # --------------------------------------------------------------------------
 
+def _envelope(idx: tuple[int, ...], value) -> dict:
+    """The JSON object for one value: its index, weight, depth and value."""
+    return {
+        "index": list(idx),
+        "weight": sum(idx),
+        "depth": len(idx),
+        "value": value_to_json(value),
+    }
+
+
 def _cmd_rho(args) -> int:
     value = rho_exact(args.index)
-    if args.format == "json":
-        print(_json_dumps({
-            "index": list(args.index),
-            "weight": sum(args.index),
-            "depth": len(args.index),
-            "value": value_to_json(value),
-        }))
-    else:
-        print(value)
+    print(_json_dumps(_envelope(args.index, value)) if args.format == "json" else value)
     return 0
 
 
 def _cmd_eta(args) -> int:
     if args.mode == "symbolic":
-        expr = eta_symbolic(args.index)
-        if args.format == "json":
-            print(_json_dumps({
-                "index": list(args.index),
-                "weight": sum(args.index),
-                "depth": len(args.index),
-                "value": value_to_json(expr),
-            }))
-        else:
-            print(expr.render(args.render))
+        value = eta_symbolic(args.index)
+        text = value.render(args.render)
     else:
-        approx = eta_numeric(args.index, mode="fast", tolerance=10.0 ** (-args.digits))
-        if args.format == "json":
-            print(_json_dumps({
-                "index": list(args.index),
-                "weight": sum(args.index),
-                "depth": len(args.index),
-                "value": value_to_json(approx),
-            }))
-        else:
-            print(
-                f"{mpmath.nstr(approx.value, args.digits)} "
-                f"(error <= {mpmath.nstr(approx.error_bound, 3)})"
-            )
+        value = eta_numeric(args.index, mode="fast", tolerance=10.0 ** (-args.digits))
+        text = (
+            f"{mpmath.nstr(value.value, args.digits)} "
+            f"(error <= {mpmath.nstr(value.error_bound, 3)})"
+        )
+    print(_json_dumps(_envelope(args.index, value)) if args.format == "json" else text)
     return 0
 
 
-def _table_rows(family: str, weight: int, render: str) -> list[dict]:
-    rows = []
-    for idx in compositions(weight):
-        if family == "rho" and idx[-1] < 2:
-            continue
-        if family == "rho":
-            value_str = str(rho_exact(idx))
-            value_json = value_to_json(rho_exact(idx))
-        else:
-            expr = eta_symbolic(idx)
-            value_str = expr.render(render)
-            value_json = value_to_json(expr)
-        rows.append({
-            "weight": weight,
-            "depth": len(idx),
-            "index": ",".join(map(str, idx)),
-            "value": value_str,
-            "_json_value": value_json,
-            "_index": idx,
-        })
-    return rows
+def _table_values(family: str, weight: int) -> list[tuple[tuple[int, ...], object]]:
+    """(index, exact value) for every admissible index of the weight."""
+    if family == "rho":
+        return [(idx, rho_exact(idx)) for idx in compositions(weight) if idx[-1] >= 2]
+    return [(idx, eta_symbolic(idx)) for idx in compositions(weight)]
 
 
 def _cmd_table(args) -> int:
@@ -135,22 +105,24 @@ def _cmd_table(args) -> int:
             file=sys.stderr,
         )
         return 2
-    rows = _table_rows(args.family, args.weight, args.render)
-    fields = ["weight", "depth", "index", "value"]
+    values = _table_values(args.family, args.weight)
     if args.format == "json":
-        print(_json_dumps([
-            {
-                "index": list(r["_index"]),
-                "weight": r["weight"],
-                "depth": r["depth"],
-                "value": r["_json_value"],
-            }
-            for r in rows
-        ]))
-    elif args.format == "csv":
-        print(_csv_dumps([{f: r[f] for f in fields} for r in rows], fields), end="")
+        print(_json_dumps([_envelope(idx, value) for idx, value in values]))
+        return 0
+    fields = ["weight", "depth", "index", "value"]
+    rows = [
+        {
+            "weight": args.weight,
+            "depth": len(idx),
+            "index": ",".join(map(str, idx)),
+            "value": str(value) if args.family == "rho" else value.render(args.render),
+        }
+        for idx, value in values
+    ]
+    if args.format == "csv":
+        print(_csv_dumps(rows, fields), end="")
     else:
-        print(_markdown_table([{f: r[f] for f in fields} for r in rows], fields), end="")
+        print(_markdown_table(rows, fields), end="")
     return 0
 
 

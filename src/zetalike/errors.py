@@ -29,5 +29,5 @@ class QuadratureConvergenceError(ZetalikeError, RuntimeError):
     """Raised when adaptive quadrature exhausts its refinement budget."""
 
 
-class FixtureError(ZetalikeError, KeyError):
+class FixtureError(ZetalikeError, LookupError):
     """Raised when a reference-table fixture is requested out of range."""

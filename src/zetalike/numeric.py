@@ -50,11 +50,8 @@ __all__ = [
 ]
 
 
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial undefined for n={n}")
-    return math.factorial(n)
+# n! for n >= 0; raises ValueError for n < 0
+factorial = math.factorial
 
 
 def binomial(n: int, k: int) -> int:
@@ -66,23 +63,12 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def rising_factorial(x: Rational | int, n: int) -> Rational:
-    """Pochhammer product x(x+1)...(x+n-1), with empty product 1 for n=0."""
+def rising_factorial(x: Rational | int, n: int) -> Rational | int:
+    """Pochhammer product x(x+1)...(x+n-1), with empty product 1 for n=0; an
+    int for int x, so integer series terms stay in integer arithmetic."""
     if n < 0:
         raise ValueError(f"rising_factorial requires n >= 0, got n={n}")
-    x = Fraction(x)
-    out = Fraction(1)
-    for i in range(n):
-        out *= x + i
-    return out
-
-
-def _rising_int(x: int, n: int) -> int:
-    """Integer rising factorial; internal fast path for series terms."""
-    out = 1
-    for i in range(n):
-        out *= x + i
-    return out
+    return math.prod(x + i for i in range(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,7 +198,7 @@ def _zeta_tail_rational(k: int, eps: Fraction) -> tuple[Fraction, Fraction]:
             j = terms + 1
             cert = (
                 abs(bernoulli_number(2 * j))
-                * _rising_int(k, 2 * j - 1)
+                * rising_factorial(k, 2 * j - 1)
                 / (factorial(2 * j) * Fraction(n0) ** (k + 2 * j - 1))
             )
             if cert <= eps:
@@ -221,7 +207,7 @@ def _zeta_tail_rational(k: int, eps: Fraction) -> tuple[Fraction, Fraction]:
                 for i in range(1, terms + 1):
                     tail += (
                         bernoulli_number(2 * i)
-                        * _rising_int(k, 2 * i - 1)
+                        * rising_factorial(k, 2 * i - 1)
                         / (factorial(2 * i) * Fraction(n0) ** (k + 2 * i - 1))
                     )
                 return head + tail, cert

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from .compositions import weak_compositions
 from .errors import InadmissibleIndexError
 from .harmonic import mzv_star_truncated
-from .numeric import Rational, factorial, _rising_int
+from .numeric import Rational, factorial, rising_factorial
 
 __all__ = [
     "RhoIndex",
@@ -131,7 +131,7 @@ def rho_series_partial_at(
         # descending j so the update reads the step-(t-1) value of P_{j-1}
         for j in range(r - 1, -1, -1):
             off, length = factors[j]
-            f = Fraction(1, _rising_int(t + off, length))
+            f = Fraction(1, rising_factorial(t + off, length))
             state[j] += f * (state[j - 1] if j else Fraction(1))
         if t == want[0]:
             out[t] = state[r - 1]

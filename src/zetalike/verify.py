@@ -9,15 +9,16 @@ discrepancy so convention ambiguities surface as reviewable artifacts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 import mpmath
 import numpy as np
 
 from .compositions import compositions, weak_compositions
-from .errors import FixtureError
+from .errors import FixtureError, ZetalikeError
 from .eta import (
     ZetaExpr,
     eta_hook_closed_form,
@@ -47,14 +48,10 @@ __all__ = [
     "verify_remark_chain",
     "verify_tables",
     "quadrature_check_integral",
-    "verify_rho_sum_fixed_weight",
-    "verify_rho_sum_general",
-    "verify_rho_weighted_sum",
     "verify_suffix_balance",
-    "verify_eta_triple_sum",
-    "verify_eta_hook_closed_form",
     "value_to_json",
     "value_from_json",
+    "CHECKS",
     "SUITES",
     "run_suite",
     "rerun",
@@ -136,15 +133,13 @@ def _eta_sum(indices: Iterable[tuple[int, ...]]) -> ZetaExpr:
     return total
 
 
-def _hook_lhs(n: int, q: int) -> ZetaExpr:
-    # indices (a_1+1, ..., a_r+1, a_{r+1}+2, {1}^s) over r+s=n, |a|=q
-    total = ZetaExpr(0)
-    for r in range(n + 1):
-        s = n - r
-        for comp in weak_compositions(q, r + 1):
-            idx = tuple(c + 1 for c in comp[:-1]) + (comp[-1] + 2,) + (1,) * s
-            total = total + eta_symbolic(idx)
-    return total
+def _split_eta_sum(n: int, q: int, last: int, ones: int) -> ZetaExpr:
+    # sum over r+s=n, |a|=q of eta(a_1+1, ..., a_r+1, a_{r+1}+last, {1}^(s+ones))
+    return _eta_sum(
+        tuple(c + 1 for c in comp[:-1]) + (comp[-1] + last,) + (1,) * (n - r + ones)
+        for r in range(n + 1)
+        for comp in weak_compositions(q, r + 1)
+    )
 
 
 def _flat_eta_sum(weight_free: int, depth: int) -> ZetaExpr:
@@ -184,7 +179,7 @@ def verify_eta_hook_sum(n: int, q: int) -> VerificationReport:
     """
     if n < 1 or q < 0:
         raise ValueError(f"need n >= 1 and q >= 0, got ({n}, {q})")
-    lhs = _hook_lhs(n, q)
+    lhs = _split_eta_sum(n, q, 2, 0)
     rhs = bell_polynomial(q + 1, harmonic_vector(n, q + 1)) / (n * factorial(n))
     return _exact_report("eta-hook-sum", {"n": n, "q": q}, lhs, rhs)
 
@@ -202,12 +197,7 @@ def verify_weighted_eta_sum(n: int, q: int) -> VerificationReport:
     """
     if n < 1 or q < 0:
         raise ValueError(f"need n >= 1 and q >= 0, got ({n}, {q})")
-    lhs = ZetaExpr(0)
-    for r in range(n + 1):
-        s = n - r
-        for comp in weak_compositions(q, r + 1):
-            idx = tuple(c + 1 for c in comp) + (1,) * (s + 1)
-            lhs = lhs + eta_symbolic(idx)
+    lhs = _split_eta_sum(n, q, 1, 1)
     rhs = Fraction((-1) ** (q + 1), n * factorial(n + 1))
     acc = Fraction(0)
     for k in range(q + 1):
@@ -278,10 +268,8 @@ def verify_remark_chain(n: int, q: int) -> VerificationReport:
     C: sum_{|s|=n-1} rho(s_1+1, ..., s_{q+1}+1, s_{q+2}+2);
     D: sum_{|a|=q+1} eta(a_1+1, ..., a_{n+1}+1).
     """
-    if n < 1 or q < 0:
-        raise ValueError(f"need n >= 1 and q >= 0, got ({n}, {q})")
-    a_val = _hook_lhs(n, q)
-    b_val = bell_polynomial(q + 1, harmonic_vector(n, q + 1)) / (n * factorial(n))
+    hook = verify_eta_hook_sum(n, q)
+    a_val, b_val = hook.lhs, hook.rhs
     c_val = rho_sum_fixed_weight(n - 1, q + 2)[0]
     d_val = _flat_eta_sum(q + 1, n + 1)
     values = [a_val, ZetaExpr.coerce(b_val), ZetaExpr.coerce(c_val), d_val]
@@ -308,16 +296,8 @@ def verify_remark_chain(n: int, q: int) -> VerificationReport:
 
 
 # --------------------------------------------------------------------------
-# Table reproduction
+# Table reproduction and balance
 # --------------------------------------------------------------------------
-
-def _admissible_rho_indices(weight: int) -> list[tuple[int, ...]]:
-    return [c for c in compositions(weight) if c[-1] >= 2]
-
-
-def _admissible_eta_indices(weight: int) -> list[tuple[int, ...]]:
-    return list(compositions(weight))
-
 
 def verify_tables(weight_min: int = 2, weight_max: int = 6) -> list[VerificationReport]:
     """Compare computed values against the shipped printed-value fixtures for
@@ -326,27 +306,17 @@ def verify_tables(weight_min: int = 2, weight_max: int = 6) -> list[Verification
         raise FixtureError(
             f"fixtures cover weights 2..6, requested {weight_min}..{weight_max}"
         )
-    reports = []
-    for w in range(weight_min, weight_max + 1):
-        for idx in _admissible_rho_indices(w):
-            reports.append(
-                _exact_report(
-                    "table-rho",
-                    {"index": ",".join(map(str, idx)), "weight": w},
-                    rho_exact(idx),
-                    tables.rho_reference(idx),
-                )
-            )
-        for idx in _admissible_eta_indices(w):
-            reports.append(
-                _exact_report(
-                    "table-eta",
-                    {"index": ",".join(map(str, idx)), "weight": w},
-                    eta_symbolic(idx),
-                    tables.eta_reference(idx),
-                )
-            )
-    return reports
+    return [
+        CHECKS[cid].fn(**p)
+        for cid, p in _select("tables", weight_max)
+        if p["weight"] >= weight_min
+    ]
+
+
+def verify_suffix_balance(q: int, n: int) -> VerificationReport:
+    return _exact_report(
+        "suffix-balance", {"q": q, "n": n}, suffix_balance_sum(q, n), Fraction(1)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -400,196 +370,198 @@ def quadrature_check_integral(n: int, q: int, tol: float = 1e-6) -> Verification
 
 
 # --------------------------------------------------------------------------
-# Same-family wrappers (rho sum formulas, balance, eta closed forms)
+# Check registry
 # --------------------------------------------------------------------------
 
-def verify_rho_sum_fixed_weight(m: int, r: int) -> VerificationReport:
-    lhs, rhs = rho_sum_fixed_weight(m, r)
-    return _exact_report("rho-sum-fixed-weight", {"m": m, "r": r}, lhs, rhs)
+class Check(NamedTuple):
+    """One identity: the suite it runs in, ``fn(**params)`` building its
+    report, the parameter grid in report order, and ``weight_of(**params)``,
+    the weight a ``max_weight`` cap compares against.
+
+    Entries call the kernels through this module's globals at call time, so
+    a wrapper patched over a kernel is seen by every check.
+    """
+
+    suite: str
+    fn: Callable[..., VerificationReport]
+    grid: tuple[dict, ...]
+    weight_of: Callable[..., int]
 
 
-def verify_rho_sum_general(r: int, s: int, q: int) -> VerificationReport:
-    lhs, rhs = rho_sum_general(r, s, q)
-    return _exact_report("rho-sum-general", {"r": r, "s": s, "q": q}, lhs, rhs)
+def _grid(**axes: Iterable[int]) -> tuple[dict, ...]:
+    """Every combination of the axes' values, the first axis outermost."""
+    return tuple(dict(zip(axes, cell)) for cell in itertools.product(*axes.values()))
 
 
-def verify_rho_weighted_sum(n: int, q: int) -> VerificationReport:
-    lhs, rhs = rho_weighted_sum(n, q)
-    return _exact_report("rho-weighted-sum", {"n": n, "q": q}, lhs, rhs)
-
-
-def verify_suffix_balance(q: int, n: int) -> VerificationReport:
-    return _exact_report(
-        "suffix-balance", {"q": q, "n": n}, suffix_balance_sum(q, n), Fraction(1)
+def _table_grid(min_last: int) -> tuple[dict, ...]:
+    # the indices of every fixture weight whose last entry is at least min_last
+    return tuple(
+        {"index": ",".join(map(str, idx)), "weight": w}
+        for w in tables.FIXTURE_WEIGHTS
+        for idx in compositions(w)
+        if idx[-1] >= min_last
     )
 
 
-def verify_eta_triple_sum(q: int) -> VerificationReport:
-    closed = eta_restricted_triple_sum(q)
-    direct = _eta_sum(
-        (a1 + 1, a2 + 1, 1) for a1, a2 in weak_compositions(q, 2)
-    )
-    return _exact_report("eta-triple-sum", {"q": q}, direct, closed)
+def _table_report(identity_id, parameters, value, reference) -> VerificationReport:
+    idx = tuple(int(x) for x in parameters["index"].split(","))
+    return _exact_report(identity_id, parameters, value(idx), reference(idx))
 
 
-def verify_eta_hook_closed_form(p: int, a: int) -> VerificationReport:
-    closed = eta_hook_closed_form(p, a)
-    direct = eta_symbolic((p,) + (1,) * a)
-    return _exact_report("eta-hook-closed-form", {"p": p, "a": a}, direct, closed)
-
-
-# --------------------------------------------------------------------------
-# Suites
-# --------------------------------------------------------------------------
-
-def _capped(cells, weight_of, max_weight):
-    if max_weight is None:
-        return list(cells)
-    return [c for c in cells if weight_of(c) <= max_weight]
-
-
-def suite_tables(max_weight: int | None = None) -> list[VerificationReport]:
-    top = 6 if max_weight is None else min(6, max_weight)
-    if top < 2:
-        raise FixtureError(f"table fixtures start at weight 2, got cap {top}")
-    return verify_tables(2, top)
-
-
-def suite_rho_sum(max_weight: int | None = None) -> list[VerificationReport]:
-    reports = []
-    cells = [(m, r) for m in range(11) for r in range(1, 7)]
-    for m, r in _capped(cells, lambda c: c[0] + c[1] + 1, max_weight):
-        reports.append(verify_rho_sum_fixed_weight(m, r))
-    cells = [(r, s, q) for r in range(7) for s in range(5) for q in range(5)]
-    for r, s, q in _capped(cells, lambda c: c[0] + c[1] + c[2] + 2, max_weight):
-        reports.append(verify_rho_sum_general(r, s, q))
-    cells = [(n, q) for n in range(11) for q in range(6)]
-    for n, q in _capped(cells, lambda c: c[0] + c[1] + 2, max_weight):
-        reports.append(verify_rho_weighted_sum(n, q))
-    return reports
-
-
-def suite_rho_eta(max_weight: int | None = None) -> list[VerificationReport]:
-    cells = [(q, r) for q in range(5) for r in range(5)]
-    return [
-        verify_rho_eta_connection(q, r)
-        for q, r in _capped(cells, lambda c: c[0] + c[1] + 2, max_weight)
-    ]
-
-
-def suite_hook(max_weight: int | None = None) -> list[VerificationReport]:
-    reports = []
-    cells = [(n, q) for n in range(1, 6) for q in range(4)]
-    for n, q in _capped(cells, lambda c: c[0] + c[1] + 2, max_weight):
-        reports.append(verify_eta_hook_sum(n, q))
-    cells = [(n, q) for n in range(1, 5) for q in range(4)]
-    for n, q in _capped(cells, lambda c: c[0] + c[1] + 2, max_weight):
-        reports.append(verify_remark_chain(n, q))
-    cells = [(p, a) for p in range(2, 7) for a in range(6)]
-    for p, a in _capped(cells, lambda c: c[0] + c[1], max_weight):
-        reports.append(verify_eta_hook_closed_form(p, a))
-    return reports
-
-
-def suite_weighted(max_weight: int | None = None) -> list[VerificationReport]:
-    reports = []
-    cells = [(n, q) for n in range(1, 5) for q in range(4)]
-    for n, q in _capped(cells, lambda c: c[0] + c[1] + 2, max_weight):
-        reports.append(verify_weighted_eta_sum(n, q))
-    for n in _capped(range(1, 7), lambda n: n + 3, max_weight):
-        reports.append(verify_weighted_corollaries("w121", n))
-    for n in _capped(range(1, 5), lambda n: n + 4, max_weight):
-        reports.append(verify_weighted_corollaries("w122", n))
-    for q in _capped(range(7), lambda q: q + 3, max_weight):
-        reports.append(verify_weighted_corollaries("e38", q))
-    for q in _capped(range(1, 7), lambda q: q + 3, max_weight):
-        reports.append(verify_eta_triple_sum(q))
-    return reports
-
-
-def suite_balance(max_weight: int | None = None) -> list[VerificationReport]:
-    cells = [(q, n) for q in range(7) for n in range(11)]
-    return [
-        verify_suffix_balance(q, n)
-        for q, n in _capped(cells, lambda c: c[1], max_weight)
-    ]
-
-
-def suite_quadrature(
-    max_weight: int | None = None, tol: float = 1e-6
-) -> list[VerificationReport]:
-    cells = [(n, q) for n in range(4) for q in range(3)]
-    return [
-        quadrature_check_integral(n, q, tol)
-        for n, q in _capped(cells, lambda c: c[0] + c[1] + 2, max_weight)
-    ]
-
-
-SUITES: dict[str, Callable[..., list[VerificationReport]]] = {
-    "tables": suite_tables,
-    "rho-sum": suite_rho_sum,
-    "rho-eta": suite_rho_eta,
-    "hook": suite_hook,
-    "weighted": suite_weighted,
-    "balance": suite_balance,
-    "quadrature": suite_quadrature,
+# insertion order is report order: suites run in the order they first
+# appear, and a suite's checks in the order listed (but see _select on tables)
+CHECKS: dict[str, Check] = {
+    "table-rho": Check(
+        "tables",
+        lambda **p: _table_report("table-rho", p, rho_exact, tables.rho_reference),
+        _table_grid(2),
+        lambda index, weight: weight,
+    ),
+    "table-eta": Check(
+        "tables",
+        lambda **p: _table_report("table-eta", p, eta_symbolic, tables.eta_reference),
+        _table_grid(1),
+        lambda index, weight: weight,
+    ),
+    "rho-sum-fixed-weight": Check(
+        "rho-sum",
+        lambda **p: _exact_report(
+            "rho-sum-fixed-weight", p, *rho_sum_fixed_weight(**p)
+        ),
+        _grid(m=range(11), r=range(1, 7)),
+        lambda m, r: m + r + 1,
+    ),
+    "rho-sum-general": Check(
+        "rho-sum",
+        lambda **p: _exact_report("rho-sum-general", p, *rho_sum_general(**p)),
+        _grid(r=range(7), s=range(5), q=range(5)),
+        lambda r, s, q: r + s + q + 2,
+    ),
+    "rho-weighted-sum": Check(
+        "rho-sum",
+        lambda **p: _exact_report("rho-weighted-sum", p, *rho_weighted_sum(**p)),
+        _grid(n=range(11), q=range(6)),
+        lambda n, q: n + q + 2,
+    ),
+    "rho-eta-connection": Check(
+        "rho-eta",
+        verify_rho_eta_connection,
+        _grid(q=range(5), r=range(5)),
+        lambda q, r: q + r + 2,
+    ),
+    "eta-hook-sum": Check(
+        "hook",
+        verify_eta_hook_sum,
+        _grid(n=range(1, 6), q=range(4)),
+        lambda n, q: n + q + 2,
+    ),
+    "remark-chain": Check(
+        "hook",
+        verify_remark_chain,
+        _grid(n=range(1, 5), q=range(4)),
+        lambda n, q: n + q + 2,
+    ),
+    "eta-hook-closed-form": Check(
+        "hook",
+        lambda p, a: _exact_report(
+            "eta-hook-closed-form",
+            {"p": p, "a": a},
+            eta_symbolic((p,) + (1,) * a),
+            eta_hook_closed_form(p, a),
+        ),
+        _grid(p=range(2, 7), a=range(6)),
+        lambda p, a: p + a,
+    ),
+    "weighted-eta-sum": Check(
+        "weighted",
+        verify_weighted_eta_sum,
+        _grid(n=range(1, 5), q=range(4)),
+        lambda n, q: n + q + 2,
+    ),
+    "w121": Check(
+        "weighted",
+        lambda n: verify_weighted_corollaries("w121", n),
+        _grid(n=range(1, 7)),
+        lambda n: n + 3,
+    ),
+    "w122": Check(
+        "weighted",
+        lambda n: verify_weighted_corollaries("w122", n),
+        _grid(n=range(1, 5)),
+        lambda n: n + 4,
+    ),
+    "e38": Check(
+        "weighted",
+        lambda q: verify_weighted_corollaries("e38", q),
+        _grid(q=range(7)),
+        lambda q: q + 3,
+    ),
+    "eta-triple-sum": Check(
+        "weighted",
+        lambda q: _exact_report(
+            "eta-triple-sum",
+            {"q": q},
+            _eta_sum((a1 + 1, a2 + 1, 1) for a1, a2 in weak_compositions(q, 2)),
+            eta_restricted_triple_sum(q),
+        ),
+        _grid(q=range(1, 7)),
+        lambda q: q + 3,
+    ),
+    "suffix-balance": Check(
+        "balance",
+        verify_suffix_balance,
+        _grid(q=range(7), n=range(11)),
+        lambda q, n: n,
+    ),
+    "quadrature-integral": Check(
+        "quadrature",
+        quadrature_check_integral,
+        _grid(n=range(4), q=range(3)),
+        lambda n, q: n + q + 2,
+    ),
 }
+
+# suite name -> its check ids
+SUITES: dict[str, tuple[str, ...]] = {
+    suite: tuple(cid for cid, c in CHECKS.items() if c.suite == suite)
+    for suite in dict.fromkeys(c.suite for c in CHECKS.values())
+}
+
+
+def _select(name: str, max_weight: int | None) -> list[tuple[str, dict]]:
+    """The (check id, parameters) cells suite ``name`` runs, in report order,
+    keeping only those of weight at most ``max_weight``."""
+    if name == "all":
+        return [cell for suite in SUITES for cell in _select(suite, max_weight)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected all|{'|'.join(SUITES)}")
+    if name == "tables" and max_weight is not None and max_weight < 2:
+        raise FixtureError(f"table fixtures start at weight 2, got cap {max_weight}")
+    cells = [
+        (cid, p)
+        for cid in SUITES[name]
+        for p in CHECKS[cid].grid
+        if max_weight is None or CHECKS[cid].weight_of(**p) <= max_weight
+    ]
+    if name == "tables":
+        # fixture rows interleave by weight: a weight's rho rows, then its eta rows
+        cells.sort(key=lambda cell: cell[1]["weight"])
+    return cells
 
 
 def run_suite(name: str, max_weight: int | None = None) -> list[VerificationReport]:
-    """Run one named suite, or all of them in a fixed order."""
-    if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](max_weight))
-        return out
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; expected all|{'|'.join(SUITES)}")
-    return SUITES[name](max_weight)
-
-
-# --------------------------------------------------------------------------
-# Re-verification from a serialized report
-# --------------------------------------------------------------------------
-
-def _parse_index(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(","))
-
-
-_RERUNNERS: dict[str, Callable[[dict], VerificationReport]] = {
-    "rho-eta-connection": lambda p: verify_rho_eta_connection(p["q"], p["r"]),
-    "eta-hook-sum": lambda p: verify_eta_hook_sum(p["n"], p["q"]),
-    "weighted-eta-sum": lambda p: verify_weighted_eta_sum(p["n"], p["q"]),
-    "w121": lambda p: verify_weighted_corollaries("w121", p["n"]),
-    "w122": lambda p: verify_weighted_corollaries("w122", p["n"]),
-    "e38": lambda p: verify_weighted_corollaries("e38", p["q"]),
-    "remark-chain": lambda p: verify_remark_chain(p["n"], p["q"]),
-    "rho-sum-fixed-weight": lambda p: verify_rho_sum_fixed_weight(p["m"], p["r"]),
-    "rho-sum-general": lambda p: verify_rho_sum_general(p["r"], p["s"], p["q"]),
-    "rho-weighted-sum": lambda p: verify_rho_weighted_sum(p["n"], p["q"]),
-    "suffix-balance": lambda p: verify_suffix_balance(p["q"], p["n"]),
-    "eta-triple-sum": lambda p: verify_eta_triple_sum(p["q"]),
-    "eta-hook-closed-form": lambda p: verify_eta_hook_closed_form(p["p"], p["a"]),
-    "quadrature-integral": lambda p: quadrature_check_integral(p["n"], p["q"]),
-    "table-rho": lambda p: _exact_report(
-        "table-rho",
-        dict(p),
-        rho_exact(_parse_index(p["index"])),
-        tables.rho_reference(_parse_index(p["index"])),
-    ),
-    "table-eta": lambda p: _exact_report(
-        "table-eta",
-        dict(p),
-        eta_symbolic(_parse_index(p["index"])),
-        tables.eta_reference(_parse_index(p["index"])),
-    ),
-}
+    """Run one named suite, or all of them in a fixed order.  A cap that
+    selects no check is an error, so no suite passes vacuously."""
+    cells = _select(name, max_weight)
+    if not cells:
+        raise ZetalikeError(f"suite {name!r} has no checks of weight <= {max_weight}")
+    return [CHECKS[cid].fn(**p) for cid, p in cells]
 
 
 def rerun(report: VerificationReport) -> VerificationReport:
     """Recompute a report from its own parameters (reports are re-verifiable)."""
     try:
-        runner = _RERUNNERS[report.identity_id]
+        check = CHECKS[report.identity_id]
     except KeyError:
         raise ValueError(f"no re-runner for identity {report.identity_id!r}") from None
-    return runner(report.parameters)
+    return check.fn(**report.parameters)

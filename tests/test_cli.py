@@ -166,6 +166,21 @@ class TestVerifyCommand:
 
 
 class TestUsageErrors:
+    def test_empty_verify_selection(self, capsys):
+        for suite, cap in (("balance", "-5"), ("weighted", "2")):
+            code, out, err = run_capture(capsys, ["verify", "--suite", suite, "--max-weight", cap])
+            assert code == 2 and out == ""
+            assert suite in err and cap in err
+        # a suite of --suite all may be empty as long as another one is not
+        code, out, _ = run_capture(capsys, ["verify", "--suite", "all", "--max-weight", "2"])
+        assert code == 0 and "all 30 checks passed" in out
+
+    def test_fixture_error_is_printed_without_quotes(self, capsys):
+        for argv in (["verify", "--max-weight", "1"], ["verify", "--suite", "tables", "--max-weight", "1"]):
+            code, _, err = run_capture(capsys, argv)
+            assert code == 2
+            assert err == "error: table fixtures start at weight 2, got cap 1\n"
+
     def test_unknown_subcommand(self, capsys):
         assert cli.run(["frobnicate"]) == 2
 

@@ -19,7 +19,7 @@ from zetalike import (
     zeta_constant,
 )
 from zetalike.errors import FixtureError
-from zetalike.verify import value_from_json, value_to_json
+from zetalike.verify import CHECKS, value_from_json, value_to_json
 
 
 class TestRhoEtaConnection:
@@ -202,3 +202,18 @@ class TestSuites:
         reports = run_suite("tables", max_weight=3)
         assert all(r.parameters["weight"] <= 3 for r in reports)
         assert all(r.passed for r in reports)
+
+
+@pytest.fixture(scope="module")
+def all_reports():
+    return run_suite("all")
+
+
+class TestRegistry:
+    def test_every_report_reruns_identically(self, all_reports):
+        assert len(all_reports) == 619
+        for rep in all_reports:
+            assert rerun(rep).to_json_dict() == rep.to_json_dict(), rep.identity_id
+
+    def test_registry_is_exactly_the_emitted_identities(self, all_reports):
+        assert set(CHECKS) == {r.identity_id for r in all_reports}
