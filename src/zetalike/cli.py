@@ -14,16 +14,17 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import sys
 
 import mpmath
 
-from .compositions import compositions
 from .errors import ZetalikeError
 from .eta import eta_numeric, eta_symbolic
-from .rho import rho_exact
-from .verify import SUITES, VerificationReport, run_suite, value_to_json
+from .rho import RhoIndex, indices, rho_exact
+from .verify import SUITES, run_suite, value_to_json
 
 MAX_TABLE_WEIGHT = 12
 
@@ -72,7 +73,19 @@ def _envelope(idx: tuple[int, ...], value) -> dict:
 
 
 def _cmd_rho(args) -> int:
-    value = rho_exact(args.index)
+    idx = RhoIndex.coerce(args.index)
+    a = idx.alpha
+    # rho(s) = 1/(|a|! prod of suffix sums of a): refuse a denominator too long
+    # to print.  Capping |a| at the limit keeps lgamma's argument a float and
+    # still refuses, as n! > 10**n for n >= 25
+    limit = sys.get_int_max_str_digits()
+    digits = math.lgamma(min(sum(a), limit) + 1) / math.log(10)
+    digits += sum(map(math.log10, itertools.accumulate(reversed(a))))
+    if limit and digits >= limit:
+        raise ZetalikeError(
+            f"rho{idx} has a denominator of more than {limit} digits, too long to print"
+        )
+    value = rho_exact(idx)
     print(_json_dumps(_envelope(args.index, value)) if args.format == "json" else value)
     return 0
 
@@ -94,8 +107,8 @@ def _cmd_eta(args) -> int:
 def _table_values(family: str, weight: int) -> list[tuple[tuple[int, ...], object]]:
     """(index, exact value) for every admissible index of the weight."""
     if family == "rho":
-        return [(idx, rho_exact(idx)) for idx in compositions(weight) if idx[-1] >= 2]
-    return [(idx, eta_symbolic(idx)) for idx in compositions(weight)]
+        return [(idx, rho_exact(idx)) for idx in indices(weight, last=2)]
+    return [(idx, eta_symbolic(idx)) for idx in indices(weight)]
 
 
 def _cmd_table(args) -> int:
@@ -126,13 +139,12 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _report_row(rep: VerificationReport) -> dict:
-    params = ";".join(f"{k}={v}" for k, v in rep.parameters.items())
-    d = rep.to_json_dict()
+def _report_row(d: dict) -> dict:
+    """The csv/markdown row of one report's JSON object."""
     return {
-        "identity": rep.identity_id,
-        "parameters": params,
-        "passed": "pass" if rep.passed else "FAIL",
+        "identity": d["identity"],
+        "parameters": ";".join(f"{k}={v}" for k, v in d["parameters"].items()),
+        "passed": "pass" if d["passed"] else "FAIL",
         "lhs": _value_brief(d["lhs"]),
         "rhs": _value_brief(d["rhs"]),
         "discrepancy": _value_brief(d["discrepancy"]),
@@ -151,14 +163,14 @@ def _value_brief(vjson: dict) -> str:
 
 def _cmd_verify(args) -> int:
     reports = run_suite(args.suite, args.max_weight)
+    dicts = [r.to_json_dict() for r in reports]
     fields = ["identity", "parameters", "passed", "lhs", "rhs", "discrepancy"]
-    rows = [_report_row(r) for r in reports]
     if args.format == "json":
-        print(_json_dumps([r.to_json_dict() for r in reports]))
+        print(_json_dumps(dicts))
     elif args.format == "csv":
-        print(_csv_dumps(rows, fields), end="")
+        print(_csv_dumps(list(map(_report_row, dicts)), fields), end="")
     else:
-        print(_markdown_table(rows, fields), end="")
+        print(_markdown_table(list(map(_report_row, dicts)), fields), end="")
         n_fail = sum(1 for r in reports if not r.passed)
         if n_fail:
             print(f"\n{n_fail} of {len(reports)} checks FAILED")

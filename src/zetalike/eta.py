@@ -128,12 +128,6 @@ class ZetaExpr:
     def coeffs(self) -> dict[int, Rational]:
         return dict(self._items)
 
-    def coeff(self, k: int) -> Rational:
-        for kk, c in self._items:
-            if kk == k:
-                return c
-        return Fraction(0)
-
     def is_rational(self) -> bool:
         return not self._items
 
@@ -183,10 +177,6 @@ class ZetaExpr:
         if isinstance(x, (int, Fraction)):
             return cls(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to ZetaExpr")
-
-    @classmethod
-    def zeta(cls, k: int, coefficient: Rational | int = 1) -> "ZetaExpr":
-        return cls(0, {k: Fraction(coefficient)})
 
     # ---- evaluation / rendering ----
 
@@ -317,30 +307,23 @@ def _mul_truncated(a: list[Fraction], b: list[Fraction], order: int) -> list[Fra
     return out
 
 
-@lru_cache(maxsize=None)
-def _partial_fraction_rows(parts: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    r = len(parts)
-    rows = []
-    for j in range(1, r + 1):
-        order = parts[j - 1]
-        series = [Fraction(1)] + [Fraction(0)] * (order - 1)
-        for i in range(1, r + 1):
-            if i != j:
-                series = _mul_truncated(
-                    series, _inverse_power_series(i - j, parts[i - 1], order), order
-                )
-        rows.append(tuple(series[parts[j - 1] - k] for k in range(1, parts[j - 1] + 1)))
-    return tuple(rows)
-
-
 def partial_fraction_shifted(idx: EtaIndex | Iterable[int]) -> PartialFractionTable:
     """Exact shifted partial-fraction table for an admissible eta-index."""
-    idx = EtaIndex.coerce(idx)
-    table = PartialFractionTable(idx.parts, _partial_fraction_rows(idx.parts))
+    parts = EtaIndex.coerce(idx).parts
+    rows = []
+    for j, order in enumerate(parts, start=1):
+        series = [Fraction(1)] + [Fraction(0)] * (order - 1)
+        for i, s_i in enumerate(parts, start=1):
+            if i != j:
+                series = _mul_truncated(
+                    series, _inverse_power_series(i - j, s_i, order), order
+                )
+        rows.append(tuple(reversed(series)))  # c[j][k] is the t^(s_j - k) term
+    table = PartialFractionTable(parts, tuple(rows))
     if table.first_order_sum() != 0:
         # cannot happen for weight >= 2; a failure here means a bug upstream
         raise ArithmeticError(
-            f"first-order coefficients of {idx} do not cancel: {table.first_order_sum()}"
+            f"first-order coefficients of {parts} do not cancel: {table.first_order_sum()}"
         )
     return table
 

@@ -192,28 +192,23 @@ def _zeta_tail_rational(k: int, eps: Fraction) -> tuple[Fraction, Fraction]:
     """Exact Euler-Maclaurin value of zeta(k) with remainder bound <= eps."""
     n0 = 8
     while n0 <= 1 << 24:
+        tail = Fraction(1, (k - 1) * n0 ** (k - 1)) + Fraction(1, 2 * n0**k)
         prev = None
-        for terms in range(0, 80):
-            # certificate: magnitude of the first omitted correction term
-            j = terms + 1
-            cert = (
-                abs(bernoulli_number(2 * j))
+        for j in range(1, 81):
+            term = (
+                bernoulli_number(2 * j)
                 * rising_factorial(k, 2 * j - 1)
                 / (factorial(2 * j) * Fraction(n0) ** (k + 2 * j - 1))
             )
+            # certificate: magnitude of the first omitted correction term
+            cert = abs(term)
             if cert <= eps:
                 head = sum(Fraction(1, n**k) for n in range(1, n0))
-                tail = Fraction(1, (k - 1) * n0 ** (k - 1)) + Fraction(1, 2 * n0**k)
-                for i in range(1, terms + 1):
-                    tail += (
-                        bernoulli_number(2 * i)
-                        * rising_factorial(k, 2 * i - 1)
-                        / (factorial(2 * i) * Fraction(n0) ** (k + 2 * i - 1))
-                    )
                 return head + tail, cert
             if prev is not None and cert >= prev:
                 break  # asymptotic divergence; need a larger n0
             prev = cert
+            tail += term
         n0 *= 2
     raise ToleranceError(f"zeta({k}) to eps={eps} exceeded the summation budget")
 
@@ -236,7 +231,8 @@ def zeta_constant(k: int, digits: int) -> ApproxReal:
             else mpmath.mpf(0)
         )
         bound = cert_f * (1 + mpmath.mpf(10) ** (-6)) + _slack(dps, v)
-        assert bound <= mpmath.mpf(10) ** (-digits)
+        if bound > mpmath.mpf(10) ** (-digits):
+            raise ToleranceError(f"zeta({k}) bound {bound} exceeds 10**-{digits}")
     return ApproxReal(v, bound, dps)
 
 

@@ -25,6 +25,10 @@ __all__ = ["tanh_sinh_nodes_unit", "integrate_unit_square"]
 
 # |t| beyond this underflows weights/complements in float64
 _T_MAX = 6.115
+# refinement levels tried, and the rows of u evaluated per integrand call
+_MIN_LEVEL = 4
+_MAX_LEVEL = 9
+_CHUNK = 512
 
 
 def tanh_sinh_nodes_unit(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -52,9 +56,6 @@ def tanh_sinh_nodes_unit(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def integrate_unit_square(
     f: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     tol: float,
-    min_level: int = 4,
-    max_level: int = 9,
-    chunk: int = 512,
 ) -> tuple[float, float, int]:
     """Integrate f over (0,1)^2; f(u, uc, v, vc) gets broadcast coordinate
     arrays with uc = 1-u, vc = 1-v precomputed stably.
@@ -66,11 +67,11 @@ def integrate_unit_square(
     if tol <= 0:
         raise ValueError("tol must be positive")
     prev = None
-    for level in range(min_level, max_level + 1):
+    for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
         x, xc, w = tanh_sinh_nodes_unit(level)
         total = 0.0
-        for lo in range(0, len(x), chunk):
-            hi = min(lo + chunk, len(x))
+        for lo in range(0, len(x), _CHUNK):
+            hi = min(lo + _CHUNK, len(x))
             u = x[lo:hi, None]
             uc = xc[lo:hi, None]
             vals = f(u, uc, x[None, :], xc[None, :])
@@ -81,5 +82,5 @@ def integrate_unit_square(
                 return total, est, level
         prev = total
     raise QuadratureConvergenceError(
-        f"no convergence to {tol} within level budget {max_level}"
+        f"no convergence to {tol} within level budget {_MAX_LEVEL}"
     )

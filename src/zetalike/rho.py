@@ -21,15 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .compositions import weak_compositions
+from .compositions import compositions, weak_compositions
 from .errors import InadmissibleIndexError
 from .harmonic import mzv_star_truncated
 from .numeric import Rational, factorial, rising_factorial
 
 __all__ = [
     "RhoIndex",
+    "indices",
     "rho_exact",
     "rho_series_partial",
     "rho_series_partial_at",
@@ -84,6 +85,20 @@ class RhoIndex:
 
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self.parts)) + ")"
+
+
+def indices(
+    weight: int, depth: int | None = None, last: int = 1
+) -> Iterator[tuple[int, ...]]:
+    """Every index of the given weight (and depth, if given) with entries
+    >= 1 and last entry >= ``last``, in lexicographic order."""
+    if depth is None:
+        yield from (idx for idx in compositions(weight) if idx[-1] >= last)
+        return
+    free = weight - depth - last + 1
+    if free >= 0:
+        for comp in weak_compositions(free, depth):
+            yield tuple(c + 1 for c in comp[:-1]) + (comp[-1] + last,)
 
 
 def rho_exact(idx: RhoIndex | Iterable[int]) -> Rational:
@@ -150,22 +165,15 @@ def rho_series_partial(idx: RhoIndex | Iterable[int], n_max: int) -> Rational:
 # --------------------------------------------------------------------------
 
 def rho_sum_fixed_weight(m: int, r: int) -> tuple[Rational, Rational]:
-    """Both sides of the fixed-weight sum formula
+    """Both sides of the fixed-weight sum formula, the s = 0 case of
+    :func:`rho_sum_general`:
 
         sum_{|s|=m} rho(s_1+1, ..., s_{r-1}+1, s_r+2)
             = Z_{m+1}({1}^{r-1}) / ((m+1) (m+1)!).
-
-    The left side enumerates weak compositions; the right side goes through
-    :func:`mzv_star_truncated`.  Equality is the theorem under test.
     """
     if m < 0 or r < 1:
         raise ValueError(f"need m >= 0 and r >= 1, got ({m}, {r})")
-    lhs = Fraction(0)
-    for comp in weak_compositions(m, r):
-        parts = tuple(c + 1 for c in comp[:-1]) + (comp[-1] + 2,)
-        lhs += rho_exact(parts)
-    rhs = mzv_star_truncated(m + 1, r - 1) / ((m + 1) * factorial(m + 1))
-    return lhs, rhs
+    return rho_sum_general(m, 0, r - 1)
 
 
 def rho_sum_general(r: int, s: int, q: int) -> tuple[Rational, Rational]:
@@ -173,13 +181,13 @@ def rho_sum_general(r: int, s: int, q: int) -> tuple[Rational, Rational]:
 
         sum_{|a|=r} rho(a_1+1, ..., a_q+1, a_{q+1}+s+2)
             = Z_{r+1}({1}^q; s) / ((r+s+1) (r+s+1)!).
+
+    The right side goes through :func:`mzv_star_truncated`; equality is the
+    theorem under test.
     """
     if r < 0 or s < 0 or q < 0:
         raise ValueError(f"need r, s, q >= 0, got ({r}, {s}, {q})")
-    lhs = Fraction(0)
-    for comp in weak_compositions(r, q + 1):
-        parts = tuple(c + 1 for c in comp[:-1]) + (comp[-1] + s + 2,)
-        lhs += rho_exact(parts)
+    lhs = sum(map(rho_exact, indices(r + q + s + 2, q + 1, s + 2)), Fraction(0))
     rhs = mzv_star_truncated(r + 1, q, s) / ((r + s + 1) * factorial(r + s + 1))
     return lhs, rhs
 
@@ -192,9 +200,8 @@ def rho_weighted_sum(n: int, q: int) -> tuple[Rational, Rational]:
     if n < 0 or q < 0:
         raise ValueError(f"need n, q >= 0, got ({n}, {q})")
     lhs = Fraction(0)
-    for comp in weak_compositions(n, q + 1):
-        parts = tuple(c + 1 for c in comp[:-1]) + (comp[-1] + 2,)
-        lhs += (comp[-1] + 1) * rho_exact(parts)
+    for s in indices(n + q + 2, q + 1, 2):
+        lhs += (s[-1] - 1) * rho_exact(s)
     rhs = Fraction(1, factorial(n + 1))
     return lhs, rhs
 

@@ -17,7 +17,6 @@ from typing import Callable, Iterable, NamedTuple, Union
 import mpmath
 import numpy as np
 
-from .compositions import compositions, weak_compositions
 from .errors import FixtureError, ZetalikeError
 from .eta import (
     ZetaExpr,
@@ -29,6 +28,7 @@ from .harmonic import bell_polynomial, harmonic, harmonic_vector
 from .numeric import ApproxReal, Rational, factorial
 from .quadrature import integrate_unit_square
 from .rho import (
+    indices,
     rho_exact,
     rho_sum_fixed_weight,
     rho_sum_general,
@@ -126,26 +126,16 @@ def _exact_report(identity_id, parameters, lhs, rhs, details=None) -> Verificati
 # Enumeration helpers
 # --------------------------------------------------------------------------
 
-def _eta_sum(indices: Iterable[tuple[int, ...]]) -> ZetaExpr:
-    total = ZetaExpr(0)
-    for idx in indices:
-        total = total + eta_symbolic(idx)
-    return total
+def _eta_sum(idxs: Iterable[tuple[int, ...]]) -> ZetaExpr:
+    return sum(map(eta_symbolic, idxs), ZetaExpr(0))
 
 
 def _split_eta_sum(n: int, q: int, last: int, ones: int) -> ZetaExpr:
     # sum over r+s=n, |a|=q of eta(a_1+1, ..., a_r+1, a_{r+1}+last, {1}^(s+ones))
     return _eta_sum(
-        tuple(c + 1 for c in comp[:-1]) + (comp[-1] + last,) + (1,) * (n - r + ones)
+        idx + (1,) * (n - r + ones)
         for r in range(n + 1)
-        for comp in weak_compositions(q, r + 1)
-    )
-
-
-def _flat_eta_sum(weight_free: int, depth: int) -> ZetaExpr:
-    # sum over |a| = weight_free of eta(a_1+1, ..., a_depth+1)
-    return _eta_sum(
-        tuple(c + 1 for c in comp) for comp in weak_compositions(weight_free, depth)
+        for idx in indices(q + r + last, r + 1, last)
     )
 
 
@@ -164,10 +154,8 @@ def verify_rho_eta_connection(q: int, r: int) -> VerificationReport:
     """
     if q < 0 or r < 0:
         raise ValueError(f"need q, r >= 0, got ({q}, {r})")
-    lhs = _flat_eta_sum(q, r + 2)
-    rhs = Fraction(0)
-    for comp in weak_compositions(r, q + 1):
-        rhs += rho_exact(tuple(c + 1 for c in comp[:-1]) + (comp[-1] + 2,))
+    lhs = _eta_sum(indices(q + r + 2, r + 2))
+    rhs = sum(map(rho_exact, indices(q + r + 2, q + 1, 2)), Fraction(0))
     return _exact_report("rho-eta-connection", {"q": q, "r": r}, lhs, rhs)
 
 
@@ -252,9 +240,7 @@ def verify_weighted_corollaries(kind: str, param: int) -> VerificationReport:
         q = param
         if q < 0:
             raise ValueError(f"e38 needs q >= 0, got {q}")
-        lhs = ZetaExpr(0)
-        for a1, a2 in weak_compositions(q, 2):
-            lhs = lhs + eta_symbolic((a1 + 1, a2 + 1, 1))
+        lhs = _eta_sum(idx + (1,) for idx in indices(q + 2, 2))
         lhs = lhs + eta_symbolic((q + 1, 1, 1))
         return _exact_report("e38", {"q": q}, lhs, Fraction(1, 2))
     raise ValueError(f"unknown corollary kind {kind!r}")
@@ -271,7 +257,7 @@ def verify_remark_chain(n: int, q: int) -> VerificationReport:
     hook = verify_eta_hook_sum(n, q)
     a_val, b_val = hook.lhs, hook.rhs
     c_val = rho_sum_fixed_weight(n - 1, q + 2)[0]
-    d_val = _flat_eta_sum(q + 1, n + 1)
+    d_val = _eta_sum(indices(q + n + 2, n + 1))
     values = [a_val, ZetaExpr.coerce(b_val), ZetaExpr.coerce(c_val), d_val]
     passed = all(v == values[0] for v in values[1:])
     worst = ZetaExpr(0)
@@ -338,7 +324,7 @@ def quadrature_check_integral(n: int, q: int, tol: float = 1e-6) -> Verification
         raise ValueError(f"need n, q >= 0, got ({n}, {q})")
     if tol < 1e-9:
         raise ValueError(f"tolerance below the float64 quadrature floor: {tol}")
-    lhs_expr = _flat_eta_sum(q + 1, n + 1)
+    lhs_expr = _eta_sum(indices(q + n + 2, n + 1))
     lhs = lhs_expr.numeric(14)
 
     def integrand(u, uc, v, vc):
@@ -398,8 +384,7 @@ def _table_grid(min_last: int) -> tuple[dict, ...]:
     return tuple(
         {"index": ",".join(map(str, idx)), "weight": w}
         for w in tables.FIXTURE_WEIGHTS
-        for idx in compositions(w)
-        if idx[-1] >= min_last
+        for idx in indices(w, last=min_last)
     )
 
 
@@ -501,7 +486,7 @@ CHECKS: dict[str, Check] = {
         lambda q: _exact_report(
             "eta-triple-sum",
             {"q": q},
-            _eta_sum((a1 + 1, a2 + 1, 1) for a1, a2 in weak_compositions(q, 2)),
+            _eta_sum(idx + (1,) for idx in indices(q + 2, 2)),
             eta_restricted_triple_sum(q),
         ),
         _grid(q=range(1, 7)),

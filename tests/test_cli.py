@@ -1,6 +1,9 @@
 import json
+import sys
 
-from zetalike import cli
+import pytest
+
+from zetalike import cli, rho_exact
 from zetalike.tables import RHO_TABLE
 
 
@@ -40,6 +43,24 @@ class TestRhoCommand:
     def test_malformed_index(self, capsys):
         code, _, err = run_capture(capsys, ["rho", "2,x"])
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("index", ["1600", "2,100000"])
+    def test_oversized_value_is_usage_error(self, capsys, index, fmt):
+        code, out, err = run_capture(capsys, ["rho", index, "--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"rho({index.replace(',', ', ')})" in err
+
+    def test_refusal_starts_where_printing_fails(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        for index in [(1500,), *((n,) for n in range(1550, 1566)),
+                      *((2, n) for n in range(1550, 1566))]:
+            printable = rho_exact(index).denominator < 10**limit
+            code, out, _ = run_capture(capsys, ["rho", ",".join(map(str, index))])
+            assert code == (0 if printable else 2), index
+            assert out == (f"{rho_exact(index)}\n" if printable else "")
 
 
 class TestEtaCommand:

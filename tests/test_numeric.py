@@ -5,6 +5,7 @@ import pytest
 
 from zetalike import (
     ApproxReal,
+    ToleranceError,
     bernoulli_number,
     binomial,
     factorial,
@@ -13,6 +14,7 @@ from zetalike import (
     zeta_constant,
     zeta_pi_power_factor,
 )
+from zetalike import numeric
 
 
 class TestFactorialFamily:
@@ -124,6 +126,14 @@ class TestZetaConstant:
             zeta_constant(1, 10)
         with pytest.raises(ValueError):
             zeta_constant(2, 0)
+
+    def test_certificate_above_request_raises(self, monkeypatch):
+        # an explicit check, so it also holds under python -O
+        monkeypatch.setattr(
+            numeric, "_zeta_tail_rational", lambda k, eps: (Fraction(1), 4 * eps)
+        )
+        with pytest.raises(ToleranceError):
+            zeta_constant.__wrapped__(2, 10)
 
     def test_deterministic_across_calls(self):
         a = zeta_constant(5, 12)

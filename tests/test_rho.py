@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from zetalike import (
     InadmissibleIndexError,
     RhoIndex,
+    compositions,
     rho_alternating,
     rho_exact,
     rho_family_value,
@@ -20,7 +21,26 @@ from zetalike import (
     suffix_balance_sum,
     weak_compositions,
 )
+from zetalike.rho import indices
 from conftest import brute_rho_partial
+
+
+class TestIndices:
+    def test_matches_filtered_compositions(self):
+        for weight in range(1, 11):
+            for depth in (None, *range(1, weight + 1)):
+                for last in (1, 2, 3):
+                    want = [
+                        idx
+                        for idx in compositions(weight)
+                        if (depth is None or len(idx) == depth) and idx[-1] >= last
+                    ]
+                    assert list(indices(weight, depth, last)) == want
+
+    def test_empty_sets_raise_nothing(self):
+        assert list(indices(1, last=2)) == []
+        assert list(indices(3, 3, 2)) == []
+        assert list(indices(2, 3)) == []
 
 
 class TestRhoIndex:
