@@ -49,7 +49,6 @@ from .rho import (
     RhoIndex,
     rho_alternating,
     rho_exact,
-    rho_family_value,
     rho_head_ones,
     rho_increasing,
     rho_series_partial,
@@ -63,16 +62,9 @@ from .rho import (
 from .verify import (
     SUITES,
     VerificationReport,
-    quadrature_check_integral,
     rerun,
+    run_check,
     run_suite,
-    verify_eta_hook_sum,
-    verify_remark_chain,
-    verify_rho_eta_connection,
-    verify_suffix_balance,
-    verify_tables,
-    verify_weighted_corollaries,
-    verify_weighted_eta_sum,
 )
 
 __version__ = "0.1.0"
@@ -108,11 +100,9 @@ __all__ = [
     "mzv_star_truncated",
     "partial_fraction_shifted",
     "pi_constant",
-    "quadrature_check_integral",
     "rerun",
     "rho_alternating",
     "rho_exact",
-    "rho_family_value",
     "rho_head_ones",
     "rho_increasing",
     "rho_series_partial",
@@ -122,15 +112,9 @@ __all__ = [
     "rho_uniform",
     "rho_weighted_sum",
     "rising_factorial",
+    "run_check",
     "run_suite",
     "suffix_balance_sum",
-    "verify_eta_hook_sum",
-    "verify_remark_chain",
-    "verify_rho_eta_connection",
-    "verify_suffix_balance",
-    "verify_tables",
-    "verify_weighted_corollaries",
-    "verify_weighted_eta_sum",
     "weak_compositions",
     "zeta_constant",
     "zeta_pi_power_factor",

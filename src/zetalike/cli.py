@@ -27,6 +27,9 @@ from .rho import RhoIndex, indices, rho_exact
 from .verify import SUITES, run_suite, value_to_json
 
 MAX_TABLE_WEIGHT = 12
+# zeta_constant slows sharply past a few hundred digits, and 10.0**-digits
+# underflows to 0.0 from 324 on
+MAX_DIGITS = 300
 
 
 def _parse_index(text: str) -> tuple[int, ...]:
@@ -228,8 +231,11 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if getattr(args, "digits", 1) < 1:
-        print("error: --digits must be >= 1", file=sys.stderr)
+    if not 1 <= getattr(args, "digits", 1) <= MAX_DIGITS:
+        print(
+            f"error: --digits must be in 1..{MAX_DIGITS}, got {args.digits}",
+            file=sys.stderr,
+        )
         return 2
     try:
         return args.func(args)

@@ -38,15 +38,11 @@ __all__ = [
     "rho_sum_general",
     "rho_weighted_sum",
     "suffix_balance_sum",
-    "rho_family_value",
     "rho_head_ones",
     "rho_uniform",
     "rho_alternating",
     "rho_increasing",
 ]
-
-RHO_FAMILIES = ("head-ones", "uniform", "alternating", "increasing")
-
 
 @dataclass(frozen=True)
 class RhoIndex:
@@ -277,16 +273,3 @@ def rho_increasing(n: int) -> tuple[Rational, Rational]:
     )
     direct = rho_exact(tuple(range(1, n + 1)))
     return closed, direct
-
-
-def rho_family_value(family: str, **params) -> tuple[Rational, Rational]:
-    """Dispatch to one closed family; returns (closed-form, direct) pair."""
-    if family == "head-ones":
-        return rho_head_ones(params["p"], params["inner"])
-    if family == "uniform":
-        return rho_uniform(params["a"], params["n"])
-    if family == "alternating":
-        return rho_alternating(params["a"], params["n"])
-    if family == "increasing":
-        return rho_increasing(params["n"])
-    raise ValueError(f"unknown family {family!r}; expected one of {RHO_FAMILIES}")

@@ -41,18 +41,11 @@ Value = Union[Rational, ZetaExpr, ApproxReal]
 
 __all__ = [
     "VerificationReport",
-    "verify_rho_eta_connection",
-    "verify_eta_hook_sum",
-    "verify_weighted_eta_sum",
-    "verify_weighted_corollaries",
-    "verify_remark_chain",
-    "verify_tables",
-    "quadrature_check_integral",
-    "verify_suffix_balance",
     "value_to_json",
     "value_from_json",
     "CHECKS",
     "SUITES",
+    "run_check",
     "run_suite",
     "rerun",
 ]
@@ -110,16 +103,12 @@ class VerificationReport:
         return out
 
 
-def _exact_report(identity_id, parameters, lhs, rhs, details=None) -> VerificationReport:
-    """Report for two exact values; ZetaExpr lhs must also be purely rational
-    when rhs is rational (zeta-cancellation is part of the check)."""
-    lhs_e = ZetaExpr.coerce(lhs)
-    rhs_e = ZetaExpr.coerce(rhs)
-    diff = lhs_e - rhs_e
-    passed = diff.is_zero()
-    return VerificationReport(
-        identity_id, dict(parameters), lhs, rhs, passed, diff, details or {}
-    )
+def _exact(lhs, rhs, details=None) -> tuple:
+    """The outcome of comparing two exact values; a ZetaExpr lhs must also be
+    purely rational when rhs is rational (zeta-cancellation is part of the
+    check)."""
+    diff = ZetaExpr.coerce(lhs) - ZetaExpr.coerce(rhs)
+    return lhs, rhs, diff.is_zero(), diff, details or {}
 
 
 # --------------------------------------------------------------------------
@@ -140,10 +129,10 @@ def _split_eta_sum(n: int, q: int, last: int, ones: int) -> ZetaExpr:
 
 
 # --------------------------------------------------------------------------
-# Cross-family identities
+# Outcomes: each returns a report's (lhs, rhs, passed, discrepancy, details)
 # --------------------------------------------------------------------------
 
-def verify_rho_eta_connection(q: int, r: int) -> VerificationReport:
+def _rho_eta_connection(q: int, r: int) -> tuple:
     """Fixed-weight eta-sums over depth r+2 equal rho-sums over depth q+1:
 
         sum_{|s|=q} eta(s_1+1, ..., s_{r+2}+1)
@@ -156,11 +145,11 @@ def verify_rho_eta_connection(q: int, r: int) -> VerificationReport:
         raise ValueError(f"need q, r >= 0, got ({q}, {r})")
     lhs = _eta_sum(indices(q + r + 2, r + 2))
     rhs = sum(map(rho_exact, indices(q + r + 2, q + 1, 2)), Fraction(0))
-    return _exact_report("rho-eta-connection", {"q": q, "r": r}, lhs, rhs)
+    return _exact(lhs, rhs)
 
 
-def verify_eta_hook_sum(n: int, q: int) -> VerificationReport:
-    """Hook-shaped eta-sums against the cycle-index closed form:
+def _hook_sides(n: int, q: int) -> tuple[ZetaExpr, Rational]:
+    """Hook-shaped eta-sums and the cycle-index closed form they equal:
 
         sum_{r+s=n, |a|=q} eta(a_1+1, ..., a_r+1, a_{r+1}+2, {1}^s)
             = P_{q+1}(H_n^(1), ..., H_n^(q+1)) / (n n!).
@@ -169,10 +158,10 @@ def verify_eta_hook_sum(n: int, q: int) -> VerificationReport:
         raise ValueError(f"need n >= 1 and q >= 0, got ({n}, {q})")
     lhs = _split_eta_sum(n, q, 2, 0)
     rhs = bell_polynomial(q + 1, harmonic_vector(n, q + 1)) / (n * factorial(n))
-    return _exact_report("eta-hook-sum", {"n": n, "q": q}, lhs, rhs)
+    return lhs, rhs
 
 
-def verify_weighted_eta_sum(n: int, q: int) -> VerificationReport:
+def _weighted_eta_sum(n: int, q: int) -> tuple:
     """Trailing-ones variant:
 
         sum_{r+s=n, |a|=q} eta(a_1+1, ..., a_{r+1}+1, {1}^(s+1))
@@ -191,62 +180,53 @@ def verify_weighted_eta_sum(n: int, q: int) -> VerificationReport:
     for k in range(q + 1):
         acc += (-1) ** (q - k) * bell_polynomial(k, harmonic_vector(n, k))
     rhs += acc / (n * factorial(n))
-    return _exact_report(
-        "weighted-eta-sum",
-        {"n": n, "q": q},
-        lhs,
-        rhs,
-        details={"index_layout": "(a_1+1..a_{r+1}+1, {1}^(s+1)) over r+s=n"},
+    return _exact(
+        lhs, rhs, {"index_layout": "(a_1+1..a_{r+1}+1, {1}^(s+1)) over r+s=n"}
     )
 
 
-def verify_weighted_corollaries(kind: str, param: int) -> VerificationReport:
-    """The printed specializations of the trailing-ones identity.
+# The printed specializations of the trailing-ones identity.
 
-    kind="w121" (param=n): sum (b+1) eta({1}^a, 2, {1}^(b+1)) over a+b=n
-        equals ((n+1) H_n - n) / (n (n+1)!).
-    kind="w122" (param=n): the analogous order-3 combination equals
-        (2n + (n+1)(H_n^2 - 2 H_n + H_n^(2))) / (2n (n+1)!).
-    kind="e38" (param=q): sum_{a1+a2=q} eta(a1+1, a2+1, 1) + eta(q+1, 1, 1)
-        equals 1/2.
-    """
-    if kind == "w121":
-        n = param
-        if n < 1:
-            raise ValueError(f"w121 needs n >= 1, got {n}")
-        lhs = ZetaExpr(0)
-        for a in range(n + 1):
-            b = n - a
-            lhs = lhs + eta_symbolic((1,) * a + (2,) + (1,) * (b + 1)) * (b + 1)
-        rhs = ((n + 1) * harmonic(n) - n) / (n * factorial(n + 1))
-        return _exact_report("w121", {"n": n}, lhs, rhs)
-    if kind == "w122":
-        n = param
-        if n < 1:
-            raise ValueError(f"w122 needs n >= 1, got {n}")
-        lhs = ZetaExpr(0)
-        for a in range(n + 1):
-            b = n - a
-            lhs = lhs + eta_symbolic((1,) * a + (3,) + (1,) * (b + 1)) * (b + 1)
-        for a in range(n):
-            for b in range(n - a):
-                c = n - 1 - a - b
-                idx = (1,) * a + (2,) + (1,) * b + (2,) + (1,) * (c + 1)
-                lhs = lhs + eta_symbolic(idx) * (c + 1)
-        h1, h2 = harmonic(n), harmonic(n, 2)
-        rhs = (2 * n + (n + 1) * (h1**2 - 2 * h1 + h2)) / (2 * n * factorial(n + 1))
-        return _exact_report("w122", {"n": n}, lhs, rhs)
-    if kind == "e38":
-        q = param
-        if q < 0:
-            raise ValueError(f"e38 needs q >= 0, got {q}")
-        lhs = _eta_sum(idx + (1,) for idx in indices(q + 2, 2))
-        lhs = lhs + eta_symbolic((q + 1, 1, 1))
-        return _exact_report("e38", {"q": q}, lhs, Fraction(1, 2))
-    raise ValueError(f"unknown corollary kind {kind!r}")
+def _w121(n: int) -> tuple:
+    """sum (b+1) eta({1}^a, 2, {1}^(b+1)) over a+b=n equals
+    ((n+1) H_n - n) / (n (n+1)!)."""
+    if n < 1:
+        raise ValueError(f"w121 needs n >= 1, got {n}")
+    lhs = ZetaExpr(0)
+    for a in range(n + 1):
+        b = n - a
+        lhs = lhs + eta_symbolic((1,) * a + (2,) + (1,) * (b + 1)) * (b + 1)
+    return _exact(lhs, ((n + 1) * harmonic(n) - n) / (n * factorial(n + 1)))
 
 
-def verify_remark_chain(n: int, q: int) -> VerificationReport:
+def _w122(n: int) -> tuple:
+    """The analogous order-3 combination equals
+    (2n + (n+1)(H_n^2 - 2 H_n + H_n^(2))) / (2n (n+1)!)."""
+    if n < 1:
+        raise ValueError(f"w122 needs n >= 1, got {n}")
+    lhs = ZetaExpr(0)
+    for a in range(n + 1):
+        b = n - a
+        lhs = lhs + eta_symbolic((1,) * a + (3,) + (1,) * (b + 1)) * (b + 1)
+    for a in range(n):
+        for b in range(n - a):
+            c = n - 1 - a - b
+            idx = (1,) * a + (2,) + (1,) * b + (2,) + (1,) * (c + 1)
+            lhs = lhs + eta_symbolic(idx) * (c + 1)
+    h1, h2 = harmonic(n), harmonic(n, 2)
+    rhs = (2 * n + (n + 1) * (h1**2 - 2 * h1 + h2)) / (2 * n * factorial(n + 1))
+    return _exact(lhs, rhs)
+
+
+def _e38(q: int) -> tuple:
+    """sum_{a1+a2=q} eta(a1+1, a2+1, 1) + eta(q+1, 1, 1) equals 1/2."""
+    if q < 0:
+        raise ValueError(f"e38 needs q >= 0, got {q}")
+    lhs = _eta_sum(idx + (1,) for idx in indices(q + 2, 2))
+    return _exact(lhs + eta_symbolic((q + 1, 1, 1)), Fraction(1, 2))
+
+
+def _remark_chain(n: int, q: int) -> tuple:
     """Four independent computations of one quantity, checked pairwise equal:
 
     A: the hook-shaped eta-enumeration over r+s=n, |a|=q;
@@ -254,8 +234,7 @@ def verify_remark_chain(n: int, q: int) -> VerificationReport:
     C: sum_{|s|=n-1} rho(s_1+1, ..., s_{q+1}+1, s_{q+2}+2);
     D: sum_{|a|=q+1} eta(a_1+1, ..., a_{n+1}+1).
     """
-    hook = verify_eta_hook_sum(n, q)
-    a_val, b_val = hook.lhs, hook.rhs
+    a_val, b_val = _hook_sides(n, q)
     c_val = rho_sum_fixed_weight(n - 1, q + 2)[0]
     d_val = _eta_sum(indices(q + n + 2, n + 1))
     values = [a_val, ZetaExpr.coerce(b_val), ZetaExpr.coerce(c_val), d_val]
@@ -265,51 +244,27 @@ def verify_remark_chain(n: int, q: int) -> VerificationReport:
         diff = v - values[0]
         if not diff.is_zero():
             worst = diff
-    return VerificationReport(
-        "remark-chain",
-        {"n": n, "q": q},
-        a_val,
-        d_val,
-        passed,
-        worst,
-        details={
-            "eta_hook_enumeration": a_val.render(),
-            "bell_closed_form": str(b_val),
-            "rho_enumeration": str(c_val),
-            "eta_flat_enumeration": d_val.render(),
-        },
-    )
+    details = {
+        "eta_hook_enumeration": a_val.render(),
+        "bell_closed_form": str(b_val),
+        "rho_enumeration": str(c_val),
+        "eta_flat_enumeration": d_val.render(),
+    }
+    return a_val, d_val, passed, worst, details
 
 
-# --------------------------------------------------------------------------
-# Table reproduction and balance
-# --------------------------------------------------------------------------
-
-def verify_tables(weight_min: int = 2, weight_max: int = 6) -> list[VerificationReport]:
-    """Compare computed values against the shipped printed-value fixtures for
-    every admissible index in the weight range."""
-    if not (2 <= weight_min <= weight_max <= 6):
-        raise FixtureError(
-            f"fixtures cover weights 2..6, requested {weight_min}..{weight_max}"
-        )
-    return [
-        CHECKS[cid].fn(**p)
-        for cid, p in _select("tables", weight_max)
-        if p["weight"] >= weight_min
-    ]
+def _table_outcome(index: str, value, reference) -> tuple:
+    """Compare value(idx) with a printed-value fixture reference(idx)."""
+    idx = tuple(int(x) for x in index.split(","))
+    return _exact(value(idx), reference(idx))
 
 
-def verify_suffix_balance(q: int, n: int) -> VerificationReport:
-    return _exact_report(
-        "suffix-balance", {"q": q, "n": n}, suffix_balance_sum(q, n), Fraction(1)
-    )
+# acceptance tolerance of the quadrature check, well above the ~1e-9 floor of
+# float64 tanh-sinh
+_QUADRATURE_TOL = 1e-6
 
 
-# --------------------------------------------------------------------------
-# Quadrature check
-# --------------------------------------------------------------------------
-
-def quadrature_check_integral(n: int, q: int, tol: float = 1e-6) -> VerificationReport:
+def _quadrature_integral(n: int, q: int) -> tuple:
     """Check the double-integral representation
 
         sum_{|a|=q+1} eta(a_1+1, ..., a_{n+1}+1)
@@ -322,36 +277,23 @@ def quadrature_check_integral(n: int, q: int, tol: float = 1e-6) -> Verification
     """
     if n < 0 or q < 0:
         raise ValueError(f"need n, q >= 0, got ({n}, {q})")
-    if tol < 1e-9:
-        raise ValueError(f"tolerance below the float64 quadrature floor: {tol}")
-    lhs_expr = _eta_sum(indices(q + n + 2, n + 1))
-    lhs = lhs_expr.numeric(14)
+    lhs = _eta_sum(indices(q + n + 2, n + 1)).numeric(14)
 
     def integrand(u, uc, v, vc):
-        s = uc + vc - uc * vc  # = 1 - u*v without cancellation
-        if n == 0:
-            base = 1.0 / s
-        elif n == 1:
-            base = np.ones_like(s)
-        else:
-            base = s ** (n - 1)
-        if q == 0:
-            return base
-        return (-np.log(u)) ** q * base
+        # uc + vc - uc * vc = 1 - u*v without cancellation
+        return (-np.log(u)) ** q * (uc + vc - uc * vc) ** (n - 1)
 
-    value, est, level = integrate_unit_square(integrand, tol / 4)
+    value, est, level = integrate_unit_square(integrand, _QUADRATURE_TOL / 4)
     scale = 1.0 / (factorial(n) * factorial(q))
     rhs = ApproxReal(mpmath.mpf(value * scale), mpmath.mpf(est * scale * 2 + 1e-14), 17)
     gap = abs(lhs.value - rhs.value)
-    passed = gap <= mpmath.mpf(tol) + lhs.error_bound + rhs.error_bound
-    return VerificationReport(
-        "quadrature-integral",
-        {"n": n, "q": q},
+    passed = gap <= mpmath.mpf(_QUADRATURE_TOL) + lhs.error_bound + rhs.error_bound
+    return (
         lhs,
         rhs,
         bool(passed),
         ApproxReal(gap, lhs.error_bound + rhs.error_bound, 17),
-        details={"quadrature_level": level, "tolerance": tol},
+        {"quadrature_level": level, "tolerance": _QUADRATURE_TOL},
     )
 
 
@@ -360,16 +302,17 @@ def quadrature_check_integral(n: int, q: int, tol: float = 1e-6) -> Verification
 # --------------------------------------------------------------------------
 
 class Check(NamedTuple):
-    """One identity: the suite it runs in, ``fn(**params)`` building its
-    report, the parameter grid in report order, and ``weight_of(**params)``,
-    the weight a ``max_weight`` cap compares against.
+    """One identity: the suite it runs in, ``outcome(**params)`` returning
+    its report's ``(lhs, rhs, passed, discrepancy, details)``, the parameter
+    grid in report order, and ``weight_of(**params)``, the weight a
+    ``max_weight`` cap compares against.
 
     Entries call the kernels through this module's globals at call time, so
     a wrapper patched over a kernel is seen by every check.
     """
 
     suite: str
-    fn: Callable[..., VerificationReport]
+    outcome: Callable[..., tuple]
     grid: tuple[dict, ...]
     weight_of: Callable[..., int]
 
@@ -388,104 +331,75 @@ def _table_grid(min_last: int) -> tuple[dict, ...]:
     )
 
 
-def _table_report(identity_id, parameters, value, reference) -> VerificationReport:
-    idx = tuple(int(x) for x in parameters["index"].split(","))
-    return _exact_report(identity_id, parameters, value(idx), reference(idx))
-
-
 # insertion order is report order: suites run in the order they first
 # appear, and a suite's checks in the order listed (but see _select on tables)
 CHECKS: dict[str, Check] = {
     "table-rho": Check(
         "tables",
-        lambda **p: _table_report("table-rho", p, rho_exact, tables.rho_reference),
+        lambda index, weight: _table_outcome(index, rho_exact, tables.rho_reference),
         _table_grid(2),
         lambda index, weight: weight,
     ),
     "table-eta": Check(
         "tables",
-        lambda **p: _table_report("table-eta", p, eta_symbolic, tables.eta_reference),
+        lambda index, weight: _table_outcome(index, eta_symbolic, tables.eta_reference),
         _table_grid(1),
         lambda index, weight: weight,
     ),
     "rho-sum-fixed-weight": Check(
         "rho-sum",
-        lambda **p: _exact_report(
-            "rho-sum-fixed-weight", p, *rho_sum_fixed_weight(**p)
-        ),
+        lambda m, r: _exact(*rho_sum_fixed_weight(m, r)),
         _grid(m=range(11), r=range(1, 7)),
         lambda m, r: m + r + 1,
     ),
     "rho-sum-general": Check(
         "rho-sum",
-        lambda **p: _exact_report("rho-sum-general", p, *rho_sum_general(**p)),
+        lambda r, s, q: _exact(*rho_sum_general(r, s, q)),
         _grid(r=range(7), s=range(5), q=range(5)),
         lambda r, s, q: r + s + q + 2,
     ),
     "rho-weighted-sum": Check(
         "rho-sum",
-        lambda **p: _exact_report("rho-weighted-sum", p, *rho_weighted_sum(**p)),
+        lambda n, q: _exact(*rho_weighted_sum(n, q)),
         _grid(n=range(11), q=range(6)),
         lambda n, q: n + q + 2,
     ),
     "rho-eta-connection": Check(
         "rho-eta",
-        verify_rho_eta_connection,
+        _rho_eta_connection,
         _grid(q=range(5), r=range(5)),
         lambda q, r: q + r + 2,
     ),
     "eta-hook-sum": Check(
         "hook",
-        verify_eta_hook_sum,
+        lambda n, q: _exact(*_hook_sides(n, q)),
         _grid(n=range(1, 6), q=range(4)),
         lambda n, q: n + q + 2,
     ),
     "remark-chain": Check(
         "hook",
-        verify_remark_chain,
+        _remark_chain,
         _grid(n=range(1, 5), q=range(4)),
         lambda n, q: n + q + 2,
     ),
     "eta-hook-closed-form": Check(
         "hook",
-        lambda p, a: _exact_report(
-            "eta-hook-closed-form",
-            {"p": p, "a": a},
-            eta_symbolic((p,) + (1,) * a),
-            eta_hook_closed_form(p, a),
-        ),
+        lambda p, a: _exact(eta_symbolic((p,) + (1,) * a), eta_hook_closed_form(p, a)),
         _grid(p=range(2, 7), a=range(6)),
         lambda p, a: p + a,
     ),
     "weighted-eta-sum": Check(
         "weighted",
-        verify_weighted_eta_sum,
+        _weighted_eta_sum,
         _grid(n=range(1, 5), q=range(4)),
         lambda n, q: n + q + 2,
     ),
-    "w121": Check(
-        "weighted",
-        lambda n: verify_weighted_corollaries("w121", n),
-        _grid(n=range(1, 7)),
-        lambda n: n + 3,
-    ),
-    "w122": Check(
-        "weighted",
-        lambda n: verify_weighted_corollaries("w122", n),
-        _grid(n=range(1, 5)),
-        lambda n: n + 4,
-    ),
-    "e38": Check(
-        "weighted",
-        lambda q: verify_weighted_corollaries("e38", q),
-        _grid(q=range(7)),
-        lambda q: q + 3,
-    ),
+    "w121": Check("weighted", _w121, _grid(n=range(1, 7)), lambda n: n + 3),
+    "w122": Check("weighted", _w122, _grid(n=range(1, 5)), lambda n: n + 4),
+    "e38": Check("weighted", _e38, _grid(q=range(7)), lambda q: q + 3),
     "eta-triple-sum": Check(
         "weighted",
-        lambda q: _exact_report(
-            "eta-triple-sum",
-            {"q": q},
+        lambda q: _exact(
             _eta_sum(idx + (1,) for idx in indices(q + 2, 2)),
             eta_restricted_triple_sum(q),
         ),
@@ -494,13 +408,13 @@ CHECKS: dict[str, Check] = {
     ),
     "suffix-balance": Check(
         "balance",
-        verify_suffix_balance,
+        lambda q, n: _exact(suffix_balance_sum(q, n), Fraction(1)),
         _grid(q=range(7), n=range(11)),
         lambda q, n: n,
     ),
     "quadrature-integral": Check(
         "quadrature",
-        quadrature_check_integral,
+        _quadrature_integral,
         _grid(n=range(4), q=range(3)),
         lambda n, q: n + q + 2,
     ),
@@ -534,19 +448,24 @@ def _select(name: str, max_weight: int | None) -> list[tuple[str, dict]]:
     return cells
 
 
+def run_check(identity_id: str, **params) -> VerificationReport:
+    """Check one identity of :data:`CHECKS` at the given parameters."""
+    try:
+        check = CHECKS[identity_id]
+    except KeyError:
+        raise ValueError(f"unknown identity {identity_id!r}") from None
+    return VerificationReport(identity_id, params, *check.outcome(**params))
+
+
 def run_suite(name: str, max_weight: int | None = None) -> list[VerificationReport]:
     """Run one named suite, or all of them in a fixed order.  A cap that
     selects no check is an error, so no suite passes vacuously."""
     cells = _select(name, max_weight)
     if not cells:
         raise ZetalikeError(f"suite {name!r} has no checks of weight <= {max_weight}")
-    return [CHECKS[cid].fn(**p) for cid, p in cells]
+    return [run_check(cid, **p) for cid, p in cells]
 
 
 def rerun(report: VerificationReport) -> VerificationReport:
     """Recompute a report from its own parameters (reports are re-verifiable)."""
-    try:
-        check = CHECKS[report.identity_id]
-    except KeyError:
-        raise ValueError(f"no re-runner for identity {report.identity_id!r}") from None
-    return check.fn(**report.parameters)
+    return run_check(report.identity_id, **report.parameters)

@@ -19,14 +19,11 @@ from zetalike import (
     harmonic_vector,
     mzv_star_truncated,
     partial_fraction_shifted,
-    quadrature_check_integral,
     rho_exact,
     rho_series_partial_at,
+    run_check,
     rho_sum_fixed_weight,
     suffix_balance_sum,
-    verify_eta_hook_sum,
-    verify_rho_eta_connection,
-    verify_weighted_corollaries,
     weak_compositions,
 )
 from zetalike import cli
@@ -97,7 +94,7 @@ def test_criterion_05_rho_eta_connection_grid(capsys):
     t0 = time.time()
     for q in range(5):
         for r in range(5):
-            rep = verify_rho_eta_connection(q, r)
+            rep = run_check("rho-eta-connection", q=q, r=r)
             assert rep.passed, (q, r)
             assert rep.lhs.is_rational(), f"zeta terms failed to cancel at {(q, r)}"
     with capsys.disabled():
@@ -108,7 +105,7 @@ def test_criterion_06_hook_sum_grid(capsys):
     t0 = time.time()
     for n in range(1, 6):
         for q in range(4):
-            assert verify_eta_hook_sum(n, q).passed, (n, q)
+            assert run_check("eta-hook-sum", n=n, q=q).passed, (n, q)
     # printed q=0 specialization: sum over splits of eta({1}^r, 2, {1}^s)
     for n in range(1, 6):
         total = ZetaExpr(0)
@@ -122,11 +119,11 @@ def test_criterion_06_hook_sum_grid(capsys):
 def test_criterion_07_weighted_corollaries(capsys):
     t0 = time.time()
     for n in range(1, 7):
-        assert verify_weighted_corollaries("w121", n).passed, n
+        assert run_check("w121", n=n).passed, n
     for n in range(1, 5):
-        assert verify_weighted_corollaries("w122", n).passed, n
+        assert run_check("w122", n=n).passed, n
     for q in range(7):
-        assert verify_weighted_corollaries("e38", q).passed, q
+        assert run_check("e38", q=q).passed, q
     for q in range(1, 7):
         direct = ZetaExpr(0)
         for a1, a2 in weak_compositions(q, 2):
@@ -159,7 +156,7 @@ def test_criterion_09_integral_representation(capsys):
     t0 = time.time()
     for n in range(4):
         for q in range(3):
-            rep = quadrature_check_integral(n, q, 1e-6)
+            rep = run_check("quadrature-integral", n=n, q=q)
             assert rep.passed, (n, q)
             if (n, q) == (1, 0):
                 assert abs(float(rep.rhs.value) - 1.0) < 1e-6

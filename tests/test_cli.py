@@ -211,3 +211,14 @@ class TestUsageErrors:
     def test_bad_digits(self, capsys):
         code, _, err = run_capture(capsys, ["eta", "2", "--mode", "numeric", "--digits", "0"])
         assert code == 2
+
+    def test_digits_above_limit(self, capsys):
+        # 3000 once underflowed 10.0**-digits to 0.0 and ended in a traceback
+        for digits in ("301", "3000"):
+            for fmt in ("text", "json"):
+                argv = ["eta", "2", "--mode", "numeric", "--digits", digits, "--format", fmt]
+                code, out, err = run_capture(capsys, argv)
+                assert code == 2 and out == ""
+                assert err.startswith("error:") and "Traceback" not in err
+        code, _, _ = run_capture(capsys, ["eta", "2", "--mode", "numeric", "--digits", "300"])
+        assert code == 0

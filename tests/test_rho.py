@@ -9,7 +9,6 @@ from zetalike import (
     compositions,
     rho_alternating,
     rho_exact,
-    rho_family_value,
     rho_head_ones,
     rho_increasing,
     rho_series_partial,
@@ -224,11 +223,3 @@ class TestClosedFamilies:
     def test_increasing_rejects_divergent_case(self):
         with pytest.raises(InadmissibleIndexError):
             rho_increasing(1)
-
-    def test_dispatcher(self):
-        assert rho_family_value("uniform", a=2, n=2) == rho_uniform(2, 2)
-        assert rho_family_value("head-ones", p=2, inner=(2, 3)) == rho_head_ones(
-            2, (2, 3)
-        )
-        with pytest.raises(ValueError):
-            rho_family_value("nope")

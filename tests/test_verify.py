@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -6,16 +7,9 @@ from zetalike import (
     ZetaExpr,
     bell_polynomial,
     harmonic_vector,
-    quadrature_check_integral,
     rerun,
+    run_check,
     run_suite,
-    verify_eta_hook_sum,
-    verify_remark_chain,
-    verify_rho_eta_connection,
-    verify_suffix_balance,
-    verify_tables,
-    verify_weighted_corollaries,
-    verify_weighted_eta_sum,
     zeta_constant,
 )
 from zetalike.errors import FixtureError
@@ -24,34 +18,34 @@ from zetalike.verify import CHECKS, value_from_json, value_to_json
 
 class TestRhoEtaConnection:
     def test_base_cases(self):
-        rep = verify_rho_eta_connection(0, 1)
+        rep = run_check("rho-eta-connection", q=0, r=1)
         assert rep.passed
         assert rep.lhs == ZetaExpr(Fraction(1, 4))
         assert rep.rhs == Fraction(1, 4)
 
-        rep = verify_rho_eta_connection(1, 0)
+        rep = run_check("rho-eta-connection", q=1, r=0)
         assert rep.passed and rep.rhs == 1
 
     def test_zeta_cancellation_is_checked(self):
-        rep = verify_rho_eta_connection(2, 1)
+        rep = run_check("rho-eta-connection", q=2, r=1)
         assert rep.passed
         assert isinstance(rep.lhs, ZetaExpr) and rep.lhs.is_rational()
 
     def test_grid(self):
         for q in range(4):
             for r in range(4):
-                assert verify_rho_eta_connection(q, r).passed
+                assert run_check("rho-eta-connection", q=q, r=r).passed
 
 
 class TestHookSum:
     def test_base_cases(self):
-        rep = verify_eta_hook_sum(1, 0)
+        rep = run_check("eta-hook-sum", n=1, q=0)
         assert rep.passed and rep.rhs == 1
-        rep = verify_eta_hook_sum(2, 0)
+        rep = run_check("eta-hook-sum", n=2, q=0)
         assert rep.passed and rep.rhs == Fraction(3, 8)
 
     def test_bell_rhs(self):
-        rep = verify_eta_hook_sum(2, 1)
+        rep = run_check("eta-hook-sum", n=2, q=1)
         h = harmonic_vector(2, 2)
         assert rep.rhs == bell_polynomial(2, h) / 4 == Fraction(7, 16)
         assert rep.passed
@@ -59,14 +53,14 @@ class TestHookSum:
     def test_grid(self):
         for n in range(1, 5):
             for q in range(3):
-                assert verify_eta_hook_sum(n, q).passed
+                assert run_check("eta-hook-sum", n=n, q=q).passed
 
 
 class TestWeightedEtaSum:
     def test_smallest_case(self):
         # both (r,s) splits at n=1, q=0 produce the same depth-3 index, so
         # the left side is 2 * eta(1,1,1) = 1/2 = right side
-        rep = verify_weighted_eta_sum(1, 0)
+        rep = run_check("weighted-eta-sum", n=1, q=0)
         assert rep.passed
         assert rep.lhs == ZetaExpr(Fraction(1, 2))
         assert rep.rhs == Fraction(1, 2)
@@ -74,39 +68,39 @@ class TestWeightedEtaSum:
     def test_grid(self):
         for n in range(1, 5):
             for q in range(4):
-                assert verify_weighted_eta_sum(n, q).passed
+                assert run_check("weighted-eta-sum", n=n, q=q).passed
 
 
 class TestWeightedCorollaries:
     def test_w121(self):
-        rep = verify_weighted_corollaries("w121", 1)
+        rep = run_check("w121", n=1)
         assert rep.passed and rep.rhs == Fraction(1, 2)
-        rep = verify_weighted_corollaries("w121", 2)
+        rep = run_check("w121", n=2)
         assert rep.passed and rep.rhs == Fraction(5, 24)
 
     def test_w122(self):
-        rep = verify_weighted_corollaries("w122", 1)
+        rep = run_check("w122", n=1)
         assert rep.passed and rep.rhs == Fraction(1, 2)
         for n in range(1, 5):
-            assert verify_weighted_corollaries("w122", n).passed
+            assert run_check("w122", n=n).passed
 
     def test_e38(self):
         for q in range(7):
-            rep = verify_weighted_corollaries("e38", q)
+            rep = run_check("e38", q=q)
             assert rep.passed and rep.rhs == Fraction(1, 2)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            verify_weighted_corollaries("w999", 1)
+            run_check("w999", n=1)
 
 
 class TestRemarkChain:
     def test_all_four_routes_agree(self):
-        rep = verify_remark_chain(1, 0)
+        rep = run_check("remark-chain", n=1, q=0)
         assert rep.passed and rep.lhs == ZetaExpr(1)
-        rep = verify_remark_chain(2, 0)
+        rep = run_check("remark-chain", n=2, q=0)
         assert rep.passed and rep.lhs == ZetaExpr(Fraction(3, 8))
-        rep = verify_remark_chain(2, 1)
+        rep = run_check("remark-chain", n=2, q=1)
         assert rep.passed and rep.lhs == ZetaExpr(Fraction(7, 16))
         assert set(rep.details) == {
             "eta_hook_enumeration",
@@ -118,12 +112,12 @@ class TestRemarkChain:
     def test_full_grid(self):
         for n in range(1, 5):
             for q in range(4):
-                assert verify_remark_chain(n, q).passed, (n, q)
+                assert run_check("remark-chain", n=n, q=q).passed, (n, q)
 
 
 class TestTables:
     def test_row_counts(self):
-        reports = verify_tables(2, 6)
+        reports = run_suite("tables")
         rho_rows = [r for r in reports if r.identity_id == "table-rho"]
         eta_rows = [r for r in reports if r.identity_id == "table-eta"]
         assert len(rho_rows) == 31
@@ -131,29 +125,29 @@ class TestTables:
         assert all(r.passed for r in reports)
 
     def test_single_weight(self):
-        reports = verify_tables(6, 6)
+        reports = [r for r in run_suite("tables") if r.parameters["weight"] == 6]
         assert sum(1 for r in reports if r.identity_id == "table-rho") == 16
         assert sum(1 for r in reports if r.identity_id == "table-eta") == 32
 
     def test_out_of_range(self):
         with pytest.raises(FixtureError):
-            verify_tables(2, 7)
+            run_suite("tables", 1)
 
 
 class TestQuadrature:
     def test_forced_unit_case(self):
-        rep = quadrature_check_integral(1, 0, 1e-6)
+        rep = run_check("quadrature-integral", n=1, q=0)
         assert rep.passed
         assert abs(float(rep.rhs.value) - 1.0) < 1e-9
 
     def test_zeta3_case(self):
-        rep = quadrature_check_integral(0, 1, 1e-6)
+        rep = run_check("quadrature-integral", n=0, q=1)
         z3 = zeta_constant(3, 12)
         assert rep.passed
         assert abs(float(rep.rhs.value) - float(z3.value)) < 1e-8
 
     def test_mixed_case(self):
-        assert quadrature_check_integral(2, 1, 1e-6).passed
+        assert run_check("quadrature-integral", n=2, q=1).passed
 
 
 class TestReportsInfrastructure:
@@ -168,10 +162,10 @@ class TestReportsInfrastructure:
 
     def test_rerun_reproduces_reports(self):
         reports = [
-            verify_rho_eta_connection(1, 2),
-            verify_eta_hook_sum(3, 1),
-            verify_suffix_balance(2, 4),
-            verify_tables(2, 2)[0],
+            run_check("rho-eta-connection", q=1, r=2),
+            run_check("eta-hook-sum", n=3, q=1),
+            run_check("suffix-balance", q=2, n=4),
+            run_suite("tables", 2)[0],
         ]
         for rep in reports:
             again = rerun(rep)
@@ -180,7 +174,7 @@ class TestReportsInfrastructure:
             assert ZetaExpr.coerce(again.rhs) == ZetaExpr.coerce(rep.rhs)
 
     def test_report_serialization_shape(self):
-        rep = verify_rho_eta_connection(1, 1)
+        rep = run_check("rho-eta-connection", q=1, r=1)
         d = rep.to_json_dict()
         assert d["identity"] == "rho-eta-connection"
         assert d["passed"] is True
@@ -217,3 +211,25 @@ class TestRegistry:
 
     def test_registry_is_exactly_the_emitted_identities(self, all_reports):
         assert set(CHECKS) == {r.identity_id for r in all_reports}
+
+    def test_outcome_parameters_are_the_grid_keys(self):
+        for cid, check in CHECKS.items():
+            names = list(inspect.signature(check.outcome).parameters)
+            assert all(list(p) == names for p in check.grid), cid
+
+    @pytest.mark.parametrize(
+        "identity_id, params",
+        [
+            ("rho-eta-connection", {"q": -1, "r": 0}),
+            ("eta-hook-sum", {"n": 0, "q": 0}),
+            ("remark-chain", {"n": 1, "q": -1}),
+            ("weighted-eta-sum", {"n": 0, "q": 0}),
+            ("w121", {"n": 0}),
+            ("w122", {"n": 0}),
+            ("e38", {"q": -1}),
+            ("quadrature-integral", {"n": -1, "q": 0}),
+        ],
+    )
+    def test_out_of_range_parameters_raise(self, identity_id, params):
+        with pytest.raises(ValueError):
+            run_check(identity_id, **params)
