@@ -15,7 +15,13 @@ here by :class:`ZetaExpr`.
 The coefficients c[j][k] are computed by exact truncated power series (never
 numerically): around the pole n = 1-j, write n = (1-j) + t and expand
 prod_{i != j} (i-j+t)^(-s_i) to order s_j - 1; the t^m coefficient is
-c[j][s_j - m].
+c[j][s_j - m].  The expansion runs in integers: with d = i-j and M the lcm of
+the |d|, substituting t = M u turns each factor into
+d^(-s) (1 + (M/d) u)^(-s), whose u-series C(s+m-1, m) (-M/d)^m is integral.
+Their product, truncated at u^(s_j - 1), is built by s exact divisions by
+each linear factor 1 + (M/d) u, so every step is an integer
+multiply-subtract; the t^m coefficient is then the single
+Fraction(I_m, prod_i d^(s_i) M^m), normalised once.
 """
 
 from __future__ import annotations
@@ -286,39 +292,26 @@ class PartialFractionTable:
         return total
 
 
-def _inverse_power_series(c: int, s: int, order: int) -> list[Fraction]:
-    # Taylor coefficients of (c+t)^(-s) at t=0, up to t^(order-1); c != 0
-    base = Fraction(c)
-    return [
-        Fraction((-1) ** m * binomial(s + m - 1, m)) / base ** (s + m)
-        for m in range(order)
-    ]
-
-
-def _mul_truncated(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * order
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= order:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
 def partial_fraction_shifted(idx: EtaIndex | Iterable[int]) -> PartialFractionTable:
     """Exact shifted partial-fraction table for an admissible eta-index."""
     parts = EtaIndex.coerce(idx).parts
     rows = []
-    for j, order in enumerate(parts, start=1):
-        series = [Fraction(1)] + [Fraction(0)] * (order - 1)
-        for i, s_i in enumerate(parts, start=1):
-            if i != j:
-                series = _mul_truncated(
-                    series, _inverse_power_series(i - j, s_i, order), order
-                )
-        rows.append(tuple(reversed(series)))  # c[j][k] is the t^(s_j - k) term
+    for j, order in enumerate(parts):
+        others = [(i - j, s) for i, s in enumerate(parts) if i != j]
+        scale = math.lcm(*(d for d, _ in others))
+        series = [1] + [0] * (order - 1)  # in u = t/scale, over den
+        den = 1
+        for d, s in others:
+            # (d + t)^-s = d^-s (1 + (scale/d) u)^-s: s exact divisions
+            den *= d**s
+            ratio = scale // d
+            for _ in range(s):
+                for m in range(1, order):
+                    series[m] -= ratio * series[m - 1]
+        # c[j][k] is the t^(s_j - k) term
+        rows.append(tuple(
+            Fraction(series[m], den * scale**m) for m in reversed(range(order))
+        ))
     table = PartialFractionTable(parts, tuple(rows))
     if table.first_order_sum() != 0:
         # cannot happen for weight >= 2; a failure here means a bug upstream
@@ -333,17 +326,23 @@ def partial_fraction_shifted(idx: EtaIndex | Iterable[int]) -> PartialFractionTa
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _harmonic_prefix(n: int, power: int) -> Rational:
+    # H_n^(power), shared by every index: an eta-value of depth r reads n < r
+    return harmonic(n, power)
+
+
+@lru_cache(maxsize=None)
 def _eta_symbolic_cached(parts: tuple[int, ...]) -> ZetaExpr:
     table = partial_fraction_shifted(EtaIndex(parts))
     constant = Fraction(0)
     coeffs: dict[int, Fraction] = {}
     for j, row in enumerate(table.rows, start=1):
-        constant -= row[0] * harmonic(j - 1)
+        constant -= row[0] * _harmonic_prefix(j - 1, 1)
         for k in range(2, len(row) + 1):
             c = row[k - 1]
             if c:
                 coeffs[k] = coeffs.get(k, Fraction(0)) + c
-                constant -= c * harmonic(j - 1, k)
+                constant -= c * _harmonic_prefix(j - 1, k)
     return ZetaExpr(constant, coeffs)
 
 

@@ -9,6 +9,7 @@ from zetalike import (
     InadmissibleIndexError,
     ToleranceError,
     ZetaExpr,
+    compositions,
     eta_hook_closed_form,
     eta_numeric,
     eta_restricted_triple_sum,
@@ -109,6 +110,28 @@ class TestPartialFractions:
                 for j, s in enumerate(parts, start=1):
                     want /= (n + j - 1) ** s
                 assert table.reconstruct_at(n) == want
+
+    def test_table_is_exact_at_weight_many_points(self):
+        """The table is proved exact by agreement at n = 1..weight.
+
+        Over the common denominator prod_j (n+j-1)^(s_j), of degree w (the
+        weight), the table minus the product prod_j (n+j-1)^(-s_j) has a
+        polynomial numerator of degree below w: each c[j][k] term gives
+        degree w - k <= w - 1 and the product gives the constant 1.  None of
+        n = 1..w is a pole (the poles are n = 1-j <= 0), so agreement at
+        these w points makes that numerator vanish identically.
+        """
+        shapes = [c for w in range(2, 10) for c in compositions(w)]
+        assert len(shapes) == 510
+        shapes += [(1,) * 20 + (2,), (60, 60, 60), (3,) * 25, (1, 7, 1, 7, 1)]
+        for parts in shapes:
+            table = partial_fraction_shifted(parts)
+            assert all(type(c) is Fraction for row in table.rows for c in row)
+            for n in range(1, sum(parts) + 1):
+                want = Fraction(1)
+                for j, s in enumerate(parts, start=1):
+                    want /= (n + j - 1) ** s
+                assert table.reconstruct_at(n) == want, (parts, n)
 
 
 class TestEtaSymbolic:

@@ -2,8 +2,9 @@
 
 Each digest is the sha256 of stdout plus the exit code of one argv, captured
 before any change to the output paths; the file is only read here.  The subset
-checked is ``verify --suite all`` in every format and every ``table`` argv of
-weight at most 9, which exercises every report, row and value renderer.
+checked is ``verify --suite all`` in every format and every ``table`` argv
+(weights 2..12), which exercises every report, row and value renderer and
+every exact eta- and rho-value up to the largest table weight.
 """
 
 import hashlib
@@ -21,12 +22,12 @@ GOLDEN_ARGV = [
     argv
     for argv in DIGESTS
     if argv.startswith("verify --suite all --format")
-    or (argv.startswith("table ") and int(argv.split()[3]) <= 9)
+    or argv.startswith("table ")
 ]
 
 
 def test_golden_subset_size():
-    assert len(GOLDEN_ARGV) == 99
+    assert len(GOLDEN_ARGV) == 135
 
 
 @pytest.mark.parametrize("argv", GOLDEN_ARGV)
