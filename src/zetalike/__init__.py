@@ -8,7 +8,7 @@ truncated zeta-star sums), a verification suite for every identity it
 implements, and a CLI for tables and reports.
 """
 
-from .compositions import compositions, count_weak_compositions, weak_compositions
+from .compositions import compositions, weak_compositions
 from .errors import (
     FixtureError,
     InadmissibleIndexError,
@@ -38,9 +38,6 @@ from .numeric import (
     ApproxReal,
     Rational,
     bernoulli_number,
-    binomial,
-    factorial,
-    pi_constant,
     rising_factorial,
     zeta_constant,
     zeta_pi_power_factor,
@@ -51,12 +48,8 @@ from .rho import (
     rho_exact,
     rho_head_ones,
     rho_increasing,
-    rho_series_partial,
     rho_series_partial_at,
-    rho_sum_fixed_weight,
-    rho_sum_general,
     rho_uniform,
-    rho_weighted_sum,
     suffix_balance_sum,
 )
 from .verify import (
@@ -87,30 +80,22 @@ __all__ = [
     "alternating_binomial_sum",
     "bell_polynomial",
     "bernoulli_number",
-    "binomial",
     "compositions",
-    "count_weak_compositions",
     "eta_hook_closed_form",
     "eta_numeric",
     "eta_restricted_triple_sum",
     "eta_symbolic",
-    "factorial",
     "harmonic",
     "harmonic_vector",
     "mzv_star_truncated",
     "partial_fraction_shifted",
-    "pi_constant",
     "rerun",
     "rho_alternating",
     "rho_exact",
     "rho_head_ones",
     "rho_increasing",
-    "rho_series_partial",
     "rho_series_partial_at",
-    "rho_sum_fixed_weight",
-    "rho_sum_general",
     "rho_uniform",
-    "rho_weighted_sum",
     "rising_factorial",
     "run_check",
     "run_suite",

@@ -8,10 +8,9 @@ rely on, and the enumerators are streaming (no materialized lists).
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
-__all__ = ["weak_compositions", "count_weak_compositions", "compositions"]
+__all__ = ["weak_compositions", "compositions"]
 
 
 def weak_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -29,15 +28,6 @@ def weak_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     for head in range(n + 1):
         for rest in weak_compositions(n - head, k - 1):
             yield (head,) + rest
-
-
-def count_weak_compositions(n: int, k: int) -> int:
-    """C(n+k-1, k-1) for k >= 1; the edge cases follow the enumerator."""
-    if n < 0 or k < 0:
-        raise ValueError(f"count_weak_compositions needs n, k >= 0, got ({n}, {k})")
-    if k == 0:
-        return 1 if n == 0 else 0
-    return math.comb(n + k - 1, k - 1)
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:

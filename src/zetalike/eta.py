@@ -27,7 +27,6 @@ Fraction(I_m, prod_i d^(s_i) M^m), normalised once.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -37,14 +36,7 @@ import mpmath
 
 from .errors import InadmissibleIndexError, ToleranceError
 from .harmonic import bell_polynomial, harmonic, harmonic_vector
-from .numeric import (
-    ApproxReal,
-    Rational,
-    binomial,
-    factorial,
-    zeta_constant,
-    zeta_pi_power_factor,
-)
+from .numeric import ApproxReal, Rational, zeta_constant, zeta_pi_power_factor
 
 __all__ = [
     "EtaIndex",
@@ -55,15 +47,10 @@ __all__ = [
     "eta_numeric",
     "eta_hook_closed_form",
     "eta_restricted_triple_sum",
-    "DEFAULT_ORACLE_CAP",
 ]
 
-DEFAULT_ORACLE_CAP = 10**7
-
-
-def _oracle_cap() -> int:
-    raw = os.environ.get("ZETALIKE_MAX_N")
-    return int(raw) if raw else DEFAULT_ORACLE_CAP
+# the most terms the series oracle sums
+_ORACLE_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -360,7 +347,6 @@ def eta_numeric(
     idx: EtaIndex | Iterable[int],
     mode: str = "oracle",
     tolerance: float = 1e-6,
-    max_terms: int | None = None,
 ) -> ApproxReal:
     """Numeric eta-value with error_bound <= tolerance.
 
@@ -369,12 +355,11 @@ def eta_numeric(
     tolerance/2; this is deliberately independent of the symbolic reduction.
     mode="fast" evaluates :func:`eta_symbolic` with certified zeta constants.
 
-    The oracle refuses tolerances below 1e-12 and term counts above the cap
-    (``max_terms``, else $ZETALIKE_MAX_N, else 10**7).
+    The oracle refuses tolerances below 1e-12 and term counts above 10**7.
     """
     idx = EtaIndex.coerce(idx)
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if mode == "fast":
         digits = max(2, int(math.ceil(-math.log10(tolerance))) + 1)
         for _ in range(4):
@@ -389,11 +374,10 @@ def eta_numeric(
     if tolerance < 1e-12:
         raise ToleranceError("oracle mode supports tolerances >= 1e-12")
     w = idx.weight
-    cap = max_terms if max_terms is not None else _oracle_cap()
     n_terms = int(math.ceil((2.0 / ((w - 1) * tolerance)) ** (1.0 / (w - 1))))
-    if n_terms > cap:
+    if n_terms > _ORACLE_CAP:
         raise ToleranceError(
-            f"oracle for {idx} at {tolerance} needs {n_terms} terms (cap {cap})"
+            f"oracle for {idx} at {tolerance} needs {n_terms} terms (cap {_ORACLE_CAP})"
         )
     exponents = list(enumerate(idx.parts))  # (offset, power)
     total = math.fsum(
@@ -431,11 +415,11 @@ def eta_hook_closed_form(p: int, a: int) -> ZetaExpr:
     constant = Fraction(0)
     for k in range(0, a):
         constant += (
-            binomial(a, k + 1)
+            math.comb(a, k + 1)
             * Fraction((-1) ** (p + k - 1), (k + 1) ** (p - 1))
             * harmonic(k + 1)
         )
-    scale = Fraction(1, factorial(a))
+    scale = Fraction(1, math.factorial(a))
     return ZetaExpr(constant * scale, {k: c * scale for k, c in coeffs.items()})
 
 

@@ -3,7 +3,7 @@ zeta-star sums: the closed-form side of every sum identity in the library.
 
 The three central objects:
 
-* generalized harmonic numbers  H_n^(s)(x) = sum_{k=1..n} 1/(k+x)^s,
+* generalized harmonic numbers  H_n^(s) = sum_{k=1..n} 1/k^s,
 * cycle-index polynomials  P_m(t_1,...,t_m), the coefficients of
   exp(sum_k t_k z^k / k),
 * truncated zeta-star sums  Z_n({1}^m; s)
@@ -20,11 +20,12 @@ All values are exact rationals.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import PoleError
-from .numeric import Rational, binomial, factorial
+from .numeric import Rational
 
 __all__ = [
     "harmonic",
@@ -35,26 +36,13 @@ __all__ = [
 ]
 
 
-def _check_no_pole(n: int, shift: Fraction) -> None:
-    if shift.denominator == 1:
-        s = shift.numerator
-        if -n <= s <= -1:
-            raise PoleError(f"shift {shift} hits a pole of the length-{n} sum")
-
-
-def harmonic(n: int, power: int = 1, shift: Rational | int = 0) -> Rational:
-    """H_n^(power)(shift) = sum_{k=1..n} 1/(k+shift)^power, exactly.
-
-    The empty sum (n=0) is 0.  Raises :class:`PoleError` when shift is a
-    negative integer in {-1, ..., -n}.
-    """
+def harmonic(n: int, power: int = 1) -> Rational:
+    """H_n^(power) = sum_{k=1..n} 1/k^power, exactly; the empty sum (n=0) is 0."""
     if n < 0:
         raise ValueError(f"harmonic needs n >= 0, got {n}")
     if power < 1:
         raise ValueError(f"harmonic needs power >= 1, got {power}")
-    shift = Fraction(shift)
-    _check_no_pole(n, shift)
-    return sum((Fraction(1) / (k + shift) ** power for k in range(1, n + 1)), Fraction(0))
+    return sum((Fraction(1, k**power) for k in range(1, n + 1)), Fraction(0))
 
 
 def harmonic_vector(n: int, depth: int) -> tuple[Rational, ...]:
@@ -92,7 +80,7 @@ def bell_polynomial(m: int, values: Sequence[Rational | int]) -> Rational:
     for mult in _partition_multiplicities(m, m):
         term = Fraction(1)
         for part, count in mult.items():
-            term *= (Fraction(values[part - 1], part)) ** count / factorial(count)
+            term *= (Fraction(values[part - 1], part)) ** count / math.factorial(count)
         total += term
     return total
 
@@ -105,12 +93,14 @@ def mzv_star_truncated(n: int, m: int, shift: Rational | int = 0) -> Rational:
 
         Z_n({1}^m; s) = Z_{n-1}({1}^m; s) + Z_n({1}^{m-1}; s) / (n+s),
 
-    splitting on whether the largest entry equals n.
+    splitting on whether the largest entry equals n.  Raises
+    :class:`PoleError` when shift is a negative integer in {-1, ..., -n}.
     """
     if n < 0 or m < 0:
         raise ValueError(f"mzv_star_truncated needs n, m >= 0, got ({n}, {m})")
     shift = Fraction(shift)
-    _check_no_pole(n, shift)
+    if shift.denominator == 1 and -n <= shift.numerator <= -1:
+        raise PoleError(f"shift {shift} hits a pole of the length-{n} sum")
     row = [Fraction(1)] + [Fraction(0)] * m  # Z_0({1}^j; s) for j = 0..m
     for i in range(1, n + 1):
         inv = Fraction(1) / (i + shift)
@@ -124,6 +114,6 @@ def alternating_binomial_sum(n: int, m: int) -> Rational:
     if n < 0 or m < 1:
         raise ValueError(f"alternating_binomial_sum needs n >= 0, m >= 1, got ({n}, {m})")
     return sum(
-        (Fraction((-1) ** k * binomial(n, k), (k + 1) ** m) for k in range(n + 1)),
+        (Fraction((-1) ** k * math.comb(n, k), (k + 1) ** m) for k in range(n + 1)),
         Fraction(0),
     )

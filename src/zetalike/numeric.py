@@ -13,7 +13,7 @@ bounds add under addition, and multiplication uses
 plus a rounding slack far below any tolerance used by callers.
 
 The only transcendental constants needed anywhere are zeta(k) for integer
-k >= 2 (and pi, for tests).  :func:`zeta_constant` evaluates the zeta tail by
+k >= 2.  :func:`zeta_constant` evaluates the zeta tail by
 Euler-Maclaurin summation *in exact rational arithmetic*:
 
     sum_{n>=N} n^(-k) = N^(1-k)/(k-1) + N^(-k)/2
@@ -40,27 +40,11 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "ApproxReal",
-    "factorial",
     "rising_factorial",
-    "binomial",
     "bernoulli_number",
     "zeta_constant",
     "zeta_pi_power_factor",
-    "pi_constant",
 ]
-
-
-# n! for n >= 0; raises ValueError for n < 0
-factorial = math.factorial
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def rising_factorial(x: Rational | int, n: int) -> Rational | int:
@@ -198,7 +182,7 @@ def _zeta_tail_rational(k: int, eps: Fraction) -> tuple[Fraction, Fraction]:
             term = (
                 bernoulli_number(2 * j)
                 * rising_factorial(k, 2 * j - 1)
-                / (factorial(2 * j) * Fraction(n0) ** (k + 2 * j - 1))
+                / (math.factorial(2 * j) * Fraction(n0) ** (k + 2 * j - 1))
             )
             # certificate: magnitude of the first omitted correction term
             cert = abs(term)
@@ -245,15 +229,6 @@ def zeta_pi_power_factor(k: int) -> Rational:
     if k < 2 or k % 2 != 0:
         raise ValueError(f"pi-power form exists only for even k >= 2, got {k}")
     m = k // 2
-    return Fraction((-1) ** (m + 1)) * bernoulli_number(k) * 2 ** (k - 1) / factorial(k)
+    sign = Fraction((-1) ** (m + 1))
+    return sign * bernoulli_number(k) * 2 ** (k - 1) / math.factorial(k)
 
-
-def pi_constant(digits: int) -> ApproxReal:
-    """pi with error_bound <= 10**(-digits) (mpmath; independent of the
-    zeta machinery above, which makes it usable as a test oracle)."""
-    if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
-    dps = digits + 10
-    with mpmath.mp.workdps(dps + 8):
-        v = +mpmath.pi
-    return ApproxReal(v, mpmath.mpf(10) ** (-digits), dps)

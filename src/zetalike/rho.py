@@ -1,5 +1,5 @@
 """Multiple rho-values: exact evaluation, the defining-series oracle, and the
-fixed-weight / weighted sum identities.
+closed families.
 
 A rho-index is written the way it prints, rho(s_1, ..., s_r); internally the
 shifted exponents a_j = s_j - 1 drive everything.  The defining series is the
@@ -19,24 +19,20 @@ construction, and nowhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import compositions, weak_compositions
 from .errors import InadmissibleIndexError
-from .harmonic import mzv_star_truncated
-from .numeric import Rational, factorial, rising_factorial
+from .numeric import Rational, rising_factorial
 
 __all__ = [
     "RhoIndex",
     "indices",
     "rho_exact",
-    "rho_series_partial",
     "rho_series_partial_at",
-    "rho_sum_fixed_weight",
-    "rho_sum_general",
-    "rho_weighted_sum",
     "suffix_balance_sum",
     "rho_head_ones",
     "rho_uniform",
@@ -106,7 +102,7 @@ def rho_exact(idx: RhoIndex | Iterable[int]) -> Rational:
     for ak in reversed(a):
         suffix += ak
         prod *= suffix
-    return Fraction(1, factorial(sum(a)) * prod)
+    return Fraction(1, math.factorial(sum(a)) * prod)
 
 
 def _series_factors(idx: RhoIndex) -> list[tuple[int, int]]:
@@ -150,58 +146,6 @@ def rho_series_partial_at(
     return out
 
 
-def rho_series_partial(idx: RhoIndex | Iterable[int], n_max: int) -> Rational:
-    """Exact partial sum of the defining nested series over n_r <= n_max;
-    monotone nondecreasing in n_max and bounded by :func:`rho_exact`."""
-    return rho_series_partial_at(idx, [n_max])[n_max]
-
-
-# --------------------------------------------------------------------------
-# Sum formulas
-# --------------------------------------------------------------------------
-
-def rho_sum_fixed_weight(m: int, r: int) -> tuple[Rational, Rational]:
-    """Both sides of the fixed-weight sum formula, the s = 0 case of
-    :func:`rho_sum_general`:
-
-        sum_{|s|=m} rho(s_1+1, ..., s_{r-1}+1, s_r+2)
-            = Z_{m+1}({1}^{r-1}) / ((m+1) (m+1)!).
-    """
-    if m < 0 or r < 1:
-        raise ValueError(f"need m >= 0 and r >= 1, got ({m}, {r})")
-    return rho_sum_general(m, 0, r - 1)
-
-
-def rho_sum_general(r: int, s: int, q: int) -> tuple[Rational, Rational]:
-    """Both sides of the shifted variant
-
-        sum_{|a|=r} rho(a_1+1, ..., a_q+1, a_{q+1}+s+2)
-            = Z_{r+1}({1}^q; s) / ((r+s+1) (r+s+1)!).
-
-    The right side goes through :func:`mzv_star_truncated`; equality is the
-    theorem under test.
-    """
-    if r < 0 or s < 0 or q < 0:
-        raise ValueError(f"need r, s, q >= 0, got ({r}, {s}, {q})")
-    lhs = sum(map(rho_exact, indices(r + q + s + 2, q + 1, s + 2)), Fraction(0))
-    rhs = mzv_star_truncated(r + 1, q, s) / ((r + s + 1) * factorial(r + s + 1))
-    return lhs, rhs
-
-
-def rho_weighted_sum(n: int, q: int) -> tuple[Rational, Rational]:
-    """Both sides of the weighted sum formula
-
-        sum_{|a|=n} (a_{q+1}+1) rho(a_1+1, ..., a_q+1, a_{q+1}+2) = 1/(n+1)!.
-    """
-    if n < 0 or q < 0:
-        raise ValueError(f"need n, q >= 0, got ({n}, {q})")
-    lhs = Fraction(0)
-    for s in indices(n + q + 2, q + 1, 2):
-        lhs += (s[-1] - 1) * rho_exact(s)
-    rhs = Fraction(1, factorial(n + 1))
-    return lhs, rhs
-
-
 def suffix_balance_sum(q: int, n: int) -> Rational:
     """sum over a_1+...+a_{q+1} = n of 1/prod_{j=1..q}(a_j+...+a_{q+1}+1).
 
@@ -227,39 +171,32 @@ def suffix_balance_sum(q: int, n: int) -> Rational:
 # Closed families
 # --------------------------------------------------------------------------
 
-def rho_head_ones(p: int, inner: Iterable[int]) -> tuple[Rational, Rational]:
+def rho_head_ones(p: int, inner: Iterable[int]) -> Rational:
     """Prefixing p ones: rho({1}^p, s) = |a|^(-p) rho(s), with |a| the shifted
     weight of the inner index (>= 1 whenever the inner index is admissible)."""
     if p < 0:
         raise ValueError(f"need p >= 0, got {p}")
     inner_idx = RhoIndex.coerce(inner)
-    shifted_weight = sum(inner_idx.alpha)
-    closed = rho_exact(inner_idx) / Fraction(shifted_weight) ** p
-    direct = rho_exact((1,) * p + inner_idx.parts)
-    return closed, direct
+    return rho_exact(inner_idx) / Fraction(sum(inner_idx.alpha)) ** p
 
 
-def rho_uniform(a: int, n: int) -> tuple[Rational, Rational]:
+def rho_uniform(a: int, n: int) -> Rational:
     """Constant index: rho({a+1}^n) = 1/(a^n n! (na)!)."""
     if a < 1 or n < 1:
         raise InadmissibleIndexError(f"uniform family needs a, n >= 1, got ({a}, {n})")
-    closed = Fraction(1, a**n * factorial(n) * factorial(n * a))
-    direct = rho_exact((a + 1,) * n)
-    return closed, direct
+    return Fraction(1, a**n * math.factorial(n) * math.factorial(n * a))
 
 
-def rho_alternating(a: int, n: int) -> tuple[Rational, Rational]:
+def rho_alternating(a: int, n: int) -> Rational:
     """Alternating index: rho({1, a+1}^n) = 1/(a^(2n) (na)! n!^2)."""
     if a < 1 or n < 1:
         raise InadmissibleIndexError(
             f"alternating family needs a, n >= 1, got ({a}, {n})"
         )
-    closed = Fraction(1, a ** (2 * n) * factorial(n * a) * factorial(n) ** 2)
-    direct = rho_exact((1, a + 1) * n)
-    return closed, direct
+    return Fraction(1, a ** (2 * n) * math.factorial(n * a) * math.factorial(n) ** 2)
 
 
-def rho_increasing(n: int) -> tuple[Rational, Rational]:
+def rho_increasing(n: int) -> Rational:
     """Staircase index: rho(1, 2, ..., n) = 2^(n+1)(2n-1) / ((n-1) (2n)! (n(n-1)/2)!).
 
     Needs n >= 2; at n = 1 the (n-1) factor vanishes, matching the divergence
@@ -267,9 +204,7 @@ def rho_increasing(n: int) -> tuple[Rational, Rational]:
     """
     if n < 2:
         raise InadmissibleIndexError(f"increasing family needs n >= 2, got {n}")
-    closed = Fraction(
+    return Fraction(
         2 ** (n + 1) * (2 * n - 1),
-        (n - 1) * factorial(2 * n) * factorial(n * (n - 1) // 2),
+        (n - 1) * math.factorial(2 * n) * math.factorial(n * (n - 1) // 2),
     )
-    direct = rho_exact(tuple(range(1, n + 1)))
-    return closed, direct

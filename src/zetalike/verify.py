@@ -10,6 +10,7 @@ discrepancy so convention ambiguities surface as reviewable artifacts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Union
@@ -24,17 +25,10 @@ from .eta import (
     eta_restricted_triple_sum,
     eta_symbolic,
 )
-from .harmonic import bell_polynomial, harmonic, harmonic_vector
-from .numeric import ApproxReal, Rational, factorial
+from .harmonic import bell_polynomial, harmonic, harmonic_vector, mzv_star_truncated
+from .numeric import ApproxReal, Rational
 from .quadrature import integrate_unit_square
-from .rho import (
-    indices,
-    rho_exact,
-    rho_sum_fixed_weight,
-    rho_sum_general,
-    rho_weighted_sum,
-    suffix_balance_sum,
-)
+from .rho import indices, rho_exact, suffix_balance_sum
 from . import tables
 
 Value = Union[Rational, ZetaExpr, ApproxReal]
@@ -119,6 +113,10 @@ def _eta_sum(idxs: Iterable[tuple[int, ...]]) -> ZetaExpr:
     return sum(map(eta_symbolic, idxs), ZetaExpr(0))
 
 
+def _rho_sum(weight: int, depth: int, last: int = 2) -> Rational:
+    return sum(map(rho_exact, indices(weight, depth, last)), Fraction(0))
+
+
 def _split_eta_sum(n: int, q: int, last: int, ones: int) -> ZetaExpr:
     # sum over r+s=n, |a|=q of eta(a_1+1, ..., a_r+1, a_{r+1}+last, {1}^(s+ones))
     return _eta_sum(
@@ -132,6 +130,36 @@ def _split_eta_sum(n: int, q: int, last: int, ones: int) -> ZetaExpr:
 # Outcomes: each returns a report's (lhs, rhs, passed, discrepancy, details)
 # --------------------------------------------------------------------------
 
+def _rho_sum_general(r: int, s: int, q: int) -> tuple:
+    """The shifted fixed-weight sum formula
+
+        sum_{|a|=r} rho(a_1+1, ..., a_q+1, a_{q+1}+s+2)
+            = Z_{r+1}({1}^q; s) / ((r+s+1) (r+s+1)!).
+
+    Its s = 0 case, with r -> m and q -> r-1, is the paper's fixed-weight
+    formula sum_{|s|=m} rho(s_1+1, ..., s_{r-1}+1, s_r+2)
+    = Z_{m+1}({1}^{r-1}) / ((m+1) (m+1)!).
+    """
+    if r < 0 or s < 0 or q < 0:
+        raise ValueError(f"need r, s, q >= 0, got ({r}, {s}, {q})")
+    lhs = _rho_sum(r + q + s + 2, q + 1, s + 2)
+    rhs = mzv_star_truncated(r + 1, q, s) / ((r + s + 1) * math.factorial(r + s + 1))
+    return _exact(lhs, rhs)
+
+
+def _rho_weighted_sum(n: int, q: int) -> tuple:
+    """The weighted sum formula
+
+        sum_{|a|=n} (a_{q+1}+1) rho(a_1+1, ..., a_q+1, a_{q+1}+2) = 1/(n+1)!.
+    """
+    if n < 0 or q < 0:
+        raise ValueError(f"need n, q >= 0, got ({n}, {q})")
+    lhs = Fraction(0)
+    for s in indices(n + q + 2, q + 1, 2):
+        lhs += (s[-1] - 1) * rho_exact(s)
+    return _exact(lhs, Fraction(1, math.factorial(n + 1)))
+
+
 def _rho_eta_connection(q: int, r: int) -> tuple:
     """Fixed-weight eta-sums over depth r+2 equal rho-sums over depth q+1:
 
@@ -144,7 +172,7 @@ def _rho_eta_connection(q: int, r: int) -> tuple:
     if q < 0 or r < 0:
         raise ValueError(f"need q, r >= 0, got ({q}, {r})")
     lhs = _eta_sum(indices(q + r + 2, r + 2))
-    rhs = sum(map(rho_exact, indices(q + r + 2, q + 1, 2)), Fraction(0))
+    rhs = _rho_sum(q + r + 2, q + 1)
     return _exact(lhs, rhs)
 
 
@@ -157,7 +185,7 @@ def _hook_sides(n: int, q: int) -> tuple[ZetaExpr, Rational]:
     if n < 1 or q < 0:
         raise ValueError(f"need n >= 1 and q >= 0, got ({n}, {q})")
     lhs = _split_eta_sum(n, q, 2, 0)
-    rhs = bell_polynomial(q + 1, harmonic_vector(n, q + 1)) / (n * factorial(n))
+    rhs = bell_polynomial(q + 1, harmonic_vector(n, q + 1)) / (n * math.factorial(n))
     return lhs, rhs
 
 
@@ -175,11 +203,11 @@ def _weighted_eta_sum(n: int, q: int) -> tuple:
     if n < 1 or q < 0:
         raise ValueError(f"need n >= 1 and q >= 0, got ({n}, {q})")
     lhs = _split_eta_sum(n, q, 1, 1)
-    rhs = Fraction((-1) ** (q + 1), n * factorial(n + 1))
+    rhs = Fraction((-1) ** (q + 1), n * math.factorial(n + 1))
     acc = Fraction(0)
     for k in range(q + 1):
         acc += (-1) ** (q - k) * bell_polynomial(k, harmonic_vector(n, k))
-    rhs += acc / (n * factorial(n))
+    rhs += acc / (n * math.factorial(n))
     return _exact(
         lhs, rhs, {"index_layout": "(a_1+1..a_{r+1}+1, {1}^(s+1)) over r+s=n"}
     )
@@ -196,7 +224,7 @@ def _w121(n: int) -> tuple:
     for a in range(n + 1):
         b = n - a
         lhs = lhs + eta_symbolic((1,) * a + (2,) + (1,) * (b + 1)) * (b + 1)
-    return _exact(lhs, ((n + 1) * harmonic(n) - n) / (n * factorial(n + 1)))
+    return _exact(lhs, ((n + 1) * harmonic(n) - n) / (n * math.factorial(n + 1)))
 
 
 def _w122(n: int) -> tuple:
@@ -214,7 +242,7 @@ def _w122(n: int) -> tuple:
             idx = (1,) * a + (2,) + (1,) * b + (2,) + (1,) * (c + 1)
             lhs = lhs + eta_symbolic(idx) * (c + 1)
     h1, h2 = harmonic(n), harmonic(n, 2)
-    rhs = (2 * n + (n + 1) * (h1**2 - 2 * h1 + h2)) / (2 * n * factorial(n + 1))
+    rhs = (2 * n + (n + 1) * (h1**2 - 2 * h1 + h2)) / (2 * n * math.factorial(n + 1))
     return _exact(lhs, rhs)
 
 
@@ -235,7 +263,7 @@ def _remark_chain(n: int, q: int) -> tuple:
     D: sum_{|a|=q+1} eta(a_1+1, ..., a_{n+1}+1).
     """
     a_val, b_val = _hook_sides(n, q)
-    c_val = rho_sum_fixed_weight(n - 1, q + 2)[0]
+    c_val = _rho_sum(q + n + 2, q + 2)
     d_val = _eta_sum(indices(q + n + 2, n + 1))
     values = [a_val, ZetaExpr.coerce(b_val), ZetaExpr.coerce(c_val), d_val]
     passed = all(v == values[0] for v in values[1:])
@@ -284,7 +312,7 @@ def _quadrature_integral(n: int, q: int) -> tuple:
         return (-np.log(u)) ** q * (uc + vc - uc * vc) ** (n - 1)
 
     value, est, level = integrate_unit_square(integrand, _QUADRATURE_TOL / 4)
-    scale = 1.0 / (factorial(n) * factorial(q))
+    scale = 1.0 / (math.factorial(n) * math.factorial(q))
     rhs = ApproxReal(mpmath.mpf(value * scale), mpmath.mpf(est * scale * 2 + 1e-14), 17)
     gap = abs(lhs.value - rhs.value)
     passed = gap <= mpmath.mpf(_QUADRATURE_TOL) + lhs.error_bound + rhs.error_bound
@@ -348,19 +376,19 @@ CHECKS: dict[str, Check] = {
     ),
     "rho-sum-fixed-weight": Check(
         "rho-sum",
-        lambda m, r: _exact(*rho_sum_fixed_weight(m, r)),
+        lambda m, r: _rho_sum_general(m, 0, r - 1),
         _grid(m=range(11), r=range(1, 7)),
         lambda m, r: m + r + 1,
     ),
     "rho-sum-general": Check(
         "rho-sum",
-        lambda r, s, q: _exact(*rho_sum_general(r, s, q)),
+        _rho_sum_general,
         _grid(r=range(7), s=range(5), q=range(5)),
         lambda r, s, q: r + s + q + 2,
     ),
     "rho-weighted-sum": Check(
         "rho-sum",
-        lambda n, q: _exact(*rho_weighted_sum(n, q)),
+        _rho_weighted_sum,
         _grid(n=range(11), q=range(6)),
         lambda n, q: n + q + 2,
     ),

@@ -8,6 +8,7 @@ import io
 import random
 import time
 from fractions import Fraction
+from math import factorial
 
 from zetalike import (
     alternating_binomial_sum,
@@ -22,13 +23,11 @@ from zetalike import (
     rho_exact,
     rho_series_partial_at,
     run_check,
-    rho_sum_fixed_weight,
     suffix_balance_sum,
     weak_compositions,
 )
 from zetalike import cli
 from zetalike.eta import ZetaExpr
-from zetalike.numeric import factorial
 from zetalike.tables import ETA_TABLE, RHO_TABLE
 
 
@@ -74,8 +73,8 @@ def test_criterion_03_fixed_weight_sum_grid(capsys):
     cells = 0
     for m in range(11):
         for r in range(1, 7):
-            lhs, rhs = rho_sum_fixed_weight(m, r)
-            assert lhs == rhs, (m, r)
+            rep = run_check("rho-sum-fixed-weight", m=m, r=r)
+            assert rep.lhs == rep.rhs, (m, r)
             cells += 1
     with capsys.disabled():
         _report(3, time.time() - t0, 30.0, f"{cells} cells, m<=10 r<=6, exact")

@@ -15,7 +15,6 @@ from zetalike import (
     eta_restricted_triple_sum,
     eta_symbolic,
     partial_fraction_shifted,
-    pi_constant,
     weak_compositions,
 )
 
@@ -165,11 +164,11 @@ class TestEtaNumeric:
         val = eta_numeric((1, 1, 1), "oracle", 1e-6)
         assert abs(float(val.value) - 0.25) <= float(val.error_bound)
 
-    def test_fast_mode(self):
+    def test_fast_mode(self, frozen_pi_digits):
         val = eta_numeric((2,), "fast", 1e-10)
-        pi = pi_constant(20)
-        want = pi * pi * Fraction(1, 6)
-        assert val.agrees_with(want, 1e-10)
+        with mpmath.mp.workdps(60):
+            want = mpmath.mpf(frozen_pi_digits) ** 2 / 6
+            assert abs(val.value - want) <= 1e-10 + val.error_bound
         assert val.error_bound <= 1e-10
 
     def test_oracle_agrees_with_symbolic(self):
@@ -179,16 +178,15 @@ class TestEtaNumeric:
             assert oracle.agrees_with(fast, 1e-5)
 
     def test_oracle_tolerance_cap(self):
+        # weight 2 at 1e-8 needs 2*10**8 terms, past the 10**7 cap
         with pytest.raises(ToleranceError):
-            eta_numeric((1, 1), "oracle", 1e-8, max_terms=10**5)
+            eta_numeric((1, 1), "oracle", 1e-8)
 
-    def test_oracle_env_cap(self, monkeypatch):
-        monkeypatch.setenv("ZETALIKE_MAX_N", "1000")
-        with pytest.raises(ToleranceError):
-            eta_numeric((1, 1), "oracle", 1e-5)
-        monkeypatch.setenv("ZETALIKE_MAX_N", "1000000")
-        val = eta_numeric((1, 1), "oracle", 1e-5)
-        assert abs(float(val.value) - 1.0) <= float(val.error_bound)
+    @pytest.mark.parametrize("mode", ["oracle", "fast"])
+    @pytest.mark.parametrize("tolerance", [0, -1, float("inf"), float("nan")])
+    def test_rejects_nonpositive_or_nonfinite_tolerance(self, mode, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            eta_numeric((1, 1), mode, tolerance)
 
     def test_oracle_rejects_sub_picotolerance(self):
         with pytest.raises(ToleranceError):

@@ -24,16 +24,6 @@ class TestHarmonic:
         assert harmonic(0, 2) == 0
         assert harmonic(1) == 1
 
-    def test_shifted_value(self):
-        # 1/(1+1/2)^2 + 1/(2+1/2)^2
-        assert harmonic(2, 2, Fraction(1, 2)) == Fraction(136, 225)
-
-    def test_pole_detection(self):
-        with pytest.raises(PoleError):
-            harmonic(3, 1, -2)
-        # outside the summation range: fine
-        assert harmonic(3, 1, -4) == Fraction(-1, 3) - Fraction(1, 2) - 1
-
     def test_vector(self):
         assert harmonic_vector(2, 3) == (
             Fraction(3, 2),

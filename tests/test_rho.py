@@ -11,12 +11,9 @@ from zetalike import (
     rho_exact,
     rho_head_ones,
     rho_increasing,
-    rho_series_partial,
     rho_series_partial_at,
-    rho_sum_fixed_weight,
-    rho_sum_general,
     rho_uniform,
-    rho_weighted_sum,
+    run_check,
     suffix_balance_sum,
     weak_compositions,
 )
@@ -74,10 +71,10 @@ class TestRhoExact:
 
 class TestSeriesPartial:
     def test_single_term(self):
-        assert rho_series_partial((2,), 1) == Fraction(1, 2)
+        assert rho_series_partial_at((2,), [1])[1] == Fraction(1, 2)
 
     def test_telescoping_partial(self):
-        assert rho_series_partial((2,), 10) == Fraction(10, 11)
+        assert rho_series_partial_at((2,), [10])[10] == Fraction(10, 11)
 
     def test_matches_brute_enumeration(self):
         cases = [
@@ -90,7 +87,8 @@ class TestSeriesPartial:
             ((1, 1, 1, 2), 12),
         ]
         for parts, n_max in cases:
-            assert rho_series_partial(parts, n_max) == brute_rho_partial(parts, n_max)
+            got = rho_series_partial_at(parts, [n_max])[n_max]
+            assert got == brute_rho_partial(parts, n_max)
 
     def test_monotone_and_bounded(self):
         for parts in [(2,), (1, 3), (2, 2), (1, 1, 2)]:
@@ -104,7 +102,7 @@ class TestSeriesPartial:
     def test_checkpoint_sweep_matches_single_calls(self):
         got = rho_series_partial_at((1, 2), [3, 7, 11])
         for n, v in got.items():
-            assert v == rho_series_partial((1, 2), n)
+            assert v == rho_series_partial_at((1, 2), [n])[n]
 
     def test_doubling_tail_envelope(self):
         # tail after N is controlled by 10x the N/2 -> N increment
@@ -116,55 +114,60 @@ class TestSeriesPartial:
             assert gap <= 10 * (vals[400] - vals[200])
 
 
+def _sides(identity_id, **params):
+    rep = run_check(identity_id, **params)
+    return rep.lhs, rep.rhs
+
+
 class TestSumFormulas:
     def test_fixed_weight_examples(self):
-        assert rho_sum_fixed_weight(0, 1) == (Fraction(1), Fraction(1))
-        lhs, rhs = rho_sum_fixed_weight(1, 1)
+        assert _sides("rho-sum-fixed-weight", m=0, r=1) == (Fraction(1), Fraction(1))
+        lhs, rhs = _sides("rho-sum-fixed-weight", m=1, r=1)
         assert lhs == rhs == Fraction(1, 4)
-        lhs, rhs = rho_sum_fixed_weight(2, 2)
+        lhs, rhs = _sides("rho-sum-fixed-weight", m=2, r=2)
         assert lhs == rhs == Fraction(11, 108)
 
     def test_fixed_weight_grid(self):
         for m in range(8):
             for r in range(1, 5):
-                lhs, rhs = rho_sum_fixed_weight(m, r)
+                lhs, rhs = _sides("rho-sum-fixed-weight", m=m, r=r)
                 assert lhs == rhs
 
     def test_general_examples(self):
-        assert rho_sum_general(0, 0, 0) == (Fraction(1), Fraction(1))
-        lhs, rhs = rho_sum_general(1, 0, 1)
+        assert _sides("rho-sum-general", r=0, s=0, q=0) == (Fraction(1), Fraction(1))
+        lhs, rhs = _sides("rho-sum-general", r=1, s=0, q=1)
         assert lhs == rhs == Fraction(3, 8)
-        lhs, rhs = rho_sum_general(1, 1, 0)
+        lhs, rhs = _sides("rho-sum-general", r=1, s=1, q=0)
         assert lhs == rhs == Fraction(1, 18)
 
     @given(st.integers(0, 5), st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_general_property(self, r, s, q):
-        lhs, rhs = rho_sum_general(r, s, q)
+        lhs, rhs = _sides("rho-sum-general", r=r, s=s, q=q)
         assert lhs == rhs
 
     def test_general_full_grid(self):
         for r in range(7):
             for s in range(5):
                 for q in range(5):
-                    lhs, rhs = rho_sum_general(r, s, q)
+                    lhs, rhs = _sides("rho-sum-general", r=r, s=s, q=q)
                     assert lhs == rhs, (r, s, q)
 
     def test_weighted_full_grid(self):
         for n in range(11):
             for q in range(6):
-                lhs, rhs = rho_weighted_sum(n, q)
+                lhs, rhs = _sides("rho-weighted-sum", n=n, q=q)
                 assert lhs == rhs, (n, q)
 
     def test_weighted_examples(self):
-        assert rho_weighted_sum(0, 0) == (Fraction(1), Fraction(1))
-        lhs, rhs = rho_weighted_sum(1, 0)
+        assert _sides("rho-weighted-sum", n=0, q=0) == (Fraction(1), Fraction(1))
+        lhs, rhs = _sides("rho-weighted-sum", n=1, q=0)
         assert lhs == rhs == Fraction(1, 2)
         # independent re-enumeration for (2, 1)
         want = Fraction(0)
         for comp in weak_compositions(2, 2):
             want += (comp[-1] + 1) * rho_exact((comp[0] + 1, comp[-1] + 2))
-        lhs, rhs = rho_weighted_sum(2, 1)
+        lhs, rhs = _sides("rho-weighted-sum", n=2, q=1)
         assert lhs == want == rhs == Fraction(1, 6)
 
     def test_suffix_balance(self):
@@ -178,8 +181,7 @@ class TestSumFormulas:
 
 class TestClosedFamilies:
     def test_head_ones_example(self):
-        closed, direct = rho_head_ones(1, (3,))
-        assert closed == direct == Fraction(1, 8)
+        assert rho_head_ones(1, (3,)) == rho_exact((1, 3)) == Fraction(1, 8)
 
     def test_head_ones_power_formula(self):
         # rho({1}^p, m+1) = 1/(m^(p+1) m!)
@@ -187,7 +189,8 @@ class TestClosedFamilies:
 
         for p in range(5):
             for m in range(1, 5):
-                closed, direct = rho_head_ones(p, (m + 1,))
+                closed = rho_head_ones(p, (m + 1,))
+                direct = rho_exact((1,) * p + (m + 1,))
                 assert closed == direct == Fraction(1, m ** (p + 1) * factorial(m))
 
     def test_head_ones_grid(self):
@@ -196,29 +199,23 @@ class TestClosedFamilies:
             for inner in inners:
                 if sum(inner) - len(inner) + p > 9:
                     continue
-                closed, direct = rho_head_ones(p, inner)
-                assert closed == direct
+                assert rho_head_ones(p, inner) == rho_exact((1,) * p + inner)
 
     def test_uniform(self):
-        closed, direct = rho_uniform(1, 3)
-        assert closed == direct == Fraction(1, 36)
+        assert rho_uniform(1, 3) == rho_exact((2, 2, 2)) == Fraction(1, 36)
         for a in range(1, 5):
             for n in range(1, 5):
-                closed, direct = rho_uniform(a, n)
-                assert closed == direct
+                assert rho_uniform(a, n) == rho_exact((a + 1,) * n)
 
     def test_alternating(self):
-        closed, direct = rho_alternating(2, 1)
-        assert closed == direct == Fraction(1, 8)
+        assert rho_alternating(2, 1) == rho_exact((1, 3)) == Fraction(1, 8)
         for a in range(1, 5):
             for n in range(1, 4):
-                closed, direct = rho_alternating(a, n)
-                assert closed == direct
+                assert rho_alternating(a, n) == rho_exact((1, a + 1) * n)
 
     def test_increasing(self):
         for n in range(2, 7):
-            closed, direct = rho_increasing(n)
-            assert closed == direct
+            assert rho_increasing(n) == rho_exact(tuple(range(1, n + 1)))
 
     def test_increasing_rejects_divergent_case(self):
         with pytest.raises(InadmissibleIndexError):

@@ -220,6 +220,10 @@ class TestRegistry:
     @pytest.mark.parametrize(
         "identity_id, params",
         [
+            ("rho-sum-fixed-weight", {"m": -1, "r": 1}),
+            ("rho-sum-fixed-weight", {"m": 0, "r": 0}),
+            ("rho-sum-general", {"r": 0, "s": 0, "q": -1}),
+            ("rho-weighted-sum", {"n": -1, "q": 0}),
             ("rho-eta-connection", {"q": -1, "r": 0}),
             ("eta-hook-sum", {"n": 0, "q": 0}),
             ("remark-chain", {"n": 1, "q": -1}),
