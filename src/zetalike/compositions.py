@@ -8,6 +8,8 @@ rely on, and the enumerators are streaming (no materialized lists).
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Iterator
 
 __all__ = ["weak_compositions", "compositions"]
@@ -15,19 +17,22 @@ __all__ = ["weak_compositions", "compositions"]
 
 def weak_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Yield every k-tuple of nonnegative integers summing to n, in
-    lexicographic order.  k=0 yields the empty tuple iff n=0."""
+    lexicographic order.  k=0 yields the empty tuple iff n=0.
+
+    Stars and bars: k-1 bars cut [0, n] at points 0 <= c_1 <= ... <= c_{k-1}
+    <= n, and the tuple is the gaps between cuts, (c_1, c_2 - c_1, ...,
+    n - c_{k-1}).  ``combinations_with_replacement`` emits the cut points in
+    the order that makes those tuples lexicographic.
+    """
     if n < 0 or k < 0:
         raise ValueError(f"weak_compositions needs n, k >= 0, got ({n}, {k})")
     if k == 0:
         if n == 0:
             yield ()
         return
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in weak_compositions(n - head, k - 1):
-            yield (head,) + rest
+    lo, hi = (0,), (n,)
+    for cuts in itertools.combinations_with_replacement(range(n + 1), k - 1):
+        yield tuple(map(operator.sub, cuts + hi, lo + cuts))
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:

@@ -15,18 +15,25 @@ series to the exact rational
 which is what :func:`rho_exact` evaluates.  Convergence needs s_r >= 2 (so
 every suffix sum is >= 1); admissibility is checked once, at index
 construction, and nowhere else.
+
+:func:`rho_series_partial_at` sums the series itself, a cross-check that
+shares no code with :func:`rho_exact`.  It keeps integer numerators over one
+running common denominator, divides them by their gcd every 64 steps, and
+builds a ``Fraction`` only at each requested truncation point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import compositions, weak_compositions
 from .errors import InadmissibleIndexError
-from .numeric import Rational, rising_factorial
+from .numeric import Rational
 
 __all__ = [
     "RhoIndex",
@@ -39,6 +46,11 @@ __all__ = [
     "rho_alternating",
     "rho_increasing",
 ]
+
+# rho_series_partial_at divides its numerators and common denominator by
+# their gcd every this many steps
+_REDUCE_PERIOD = 64
+
 
 @dataclass(frozen=True)
 class RhoIndex:
@@ -105,17 +117,6 @@ def rho_exact(idx: RhoIndex | Iterable[int]) -> Rational:
     return Fraction(1, math.factorial(sum(a)) * prod)
 
 
-def _series_factors(idx: RhoIndex) -> list[tuple[int, int]]:
-    # per-layer (offset, length): layer j contributes 1/(n_j + offset)_length
-    a = idx.alpha
-    out = []
-    acc = 0
-    for ak in a:
-        out.append((acc, ak + 1))
-        acc += ak
-    return out
-
-
 def rho_series_partial_at(
     idx: RhoIndex | Iterable[int], checkpoints: Sequence[int]
 ) -> dict[int, Rational]:
@@ -123,25 +124,42 @@ def rho_series_partial_at(
     each N in ``checkpoints`` (one forward sweep covers them all).
 
     The sweep maintains P_j(t) = sum over n_1 < ... < n_j <= t of the first j
-    layer factors, via P_j(t) = P_j(t-1) + f_j(t) P_{j-1}(t-1).
+    layer factors, via P_j(t) = P_j(t-1) + f_j(t) P_{j-1}(t-1).  It keeps
+    every P_j as an integer numerator over one shared denominator: step t
+    multiplies the denominator by the lcm of the step's rising factorials, so
+    the update is integer arithmetic and a ``Fraction`` is built only at a
+    checkpoint.  Every ``_REDUCE_PERIOD`` steps the numerators and the
+    denominator are divided by their gcd to bound their growth.
+
+    Checkpoints must be integers >= 1 (``operator.index``: a float or a
+    string raises ``TypeError``); they may come unsorted or repeated.
     """
     idx = RhoIndex.coerce(idx)
-    checkpoints = sorted(set(int(n) for n in checkpoints))
+    checkpoints = sorted(set(operator.index(n) for n in checkpoints))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError(f"checkpoints must be positive integers: {checkpoints}")
-    factors = _series_factors(idx)
+    # layer j's factor at n_j = t is 1/(t + a_1 + ... + a_{j-1})_{a_j+1}, and
+    # (x)_m = perm(x + m - 1, m), so it is 1/perm(t + tops[j], a_j + 1)
+    a = idx.alpha
+    tops = list(itertools.accumulate(a))
     r = idx.depth
-    state = [Fraction(0)] * r
+    num = [0] * r
+    den = 1
     out: dict[int, Rational] = {}
     want = list(checkpoints)
     for t in range(1, checkpoints[-1] + 1):
+        rf = [math.perm(t + top, ak + 1) for top, ak in zip(tops, a)]
+        step = math.lcm(*rf)
         # descending j so the update reads the step-(t-1) value of P_{j-1}
         for j in range(r - 1, -1, -1):
-            off, length = factors[j]
-            f = Fraction(1, rising_factorial(t + off, length))
-            state[j] += f * (state[j - 1] if j else Fraction(1))
+            num[j] = num[j] * step + (num[j - 1] if j else den) * (step // rf[j])
+        den *= step
+        if t % _REDUCE_PERIOD == 0:
+            g = math.gcd(den, *num)
+            num = [v // g for v in num]
+            den //= g
         if t == want[0]:
-            out[t] = state[r - 1]
+            out[t] = Fraction(num[r - 1], den)
             want.pop(0)
     return out
 

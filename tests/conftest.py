@@ -40,6 +40,37 @@ def brute_rho_partial(parts: tuple[int, ...], n_max: int) -> Fraction:
     return total
 
 
+def fraction_rho_partial(parts: tuple[int, ...], checkpoints) -> dict[int, Fraction]:
+    """Nested-series partial sums by the step-by-step ``Fraction`` recurrence
+    P_j(t) = P_j(t-1) + P_{j-1}(t-1) / (t + a_1 + ... + a_{j-1})_{a_j+1}."""
+    alpha = [p - 1 for p in parts]
+    offsets = [sum(alpha[:j]) for j in range(len(alpha))]
+    state = [Fraction(0)] * len(parts)
+    out = {}
+    for t in range(1, max(checkpoints) + 1):
+        for j in reversed(range(len(parts))):
+            factor = Fraction(1, rising_int(t + offsets[j], alpha[j] + 1))
+            state[j] += factor * (state[j - 1] if j else 1)
+        if t in checkpoints:
+            out[t] = state[-1]
+    return out
+
+
+def recursive_weak_compositions(n: int, k: int):
+    """Weak k-compositions of n by recursion on the first part, which yields
+    them in lexicographic order."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    if k == 1:
+        yield (n,)
+        return
+    for head in range(n + 1):
+        for rest in recursive_weak_compositions(n - head, k - 1):
+            yield (head,) + rest
+
+
 def brute_mzv_star(n: int, m: int, shift=Fraction(0)) -> Fraction:
     """Star-sum by explicit enumeration of weakly increasing tuples."""
     shift = Fraction(shift)

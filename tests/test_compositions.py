@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zetalike import compositions, weak_compositions
+from conftest import recursive_weak_compositions
 
 
 def _count(n, k):
@@ -40,6 +41,13 @@ def test_lexicographic_order():
     for n, k in [(5, 3), (4, 4), (7, 2)]:
         seen = list(weak_compositions(n, k))
         assert seen == sorted(seen)
+
+
+def test_order_matches_recursive_reference():
+    # table rows and report order follow this order, not just sortedness
+    cases = [(n, k) for n in range(13) for k in range(9)] + [(14, 8)]
+    for n, k in cases:
+        assert list(weak_compositions(n, k)) == list(recursive_weak_compositions(n, k))
 
 
 @given(st.integers(0, 9), st.integers(0, 5))

@@ -17,8 +17,9 @@ from zetalike import (
     suffix_balance_sum,
     weak_compositions,
 )
+import zetalike.rho
 from zetalike.rho import indices
-from conftest import brute_rho_partial
+from conftest import brute_rho_partial, fraction_rho_partial
 
 
 class TestIndices:
@@ -89,6 +90,55 @@ class TestSeriesPartial:
         for parts, n_max in cases:
             got = rho_series_partial_at(parts, [n_max])[n_max]
             assert got == brute_rho_partial(parts, n_max)
+
+    def test_past_the_reduction_period(self):
+        # the sweep divides by a common gcd every 64 steps
+        for parts, ns in [
+            ((2,), [63, 64, 65, 128, 129, 200]),
+            ((4,), [63, 64, 65, 128, 129, 200]),
+            ((1, 2), [64, 65, 129]),
+            ((2, 3), [64, 65, 129]),
+        ]:
+            got = rho_series_partial_at(parts, ns)
+            assert got == {n: brute_rho_partial(parts, n) for n in ns}
+
+    def test_matches_fraction_recurrence(self):
+        for parts in [(3,), (1, 2), (2, 1, 3), (1, 2, 1, 2), (1, 1, 2, 1, 2)]:
+            got = rho_series_partial_at(parts, [1000, 2000])
+            assert got == fraction_rho_partial(parts, [1000, 2000])
+            assert all(type(v) is Fraction for v in got.values())
+
+    def test_unsorted_and_repeated_checkpoints(self):
+        got = rho_series_partial_at((1, 2), [129, 7, 64, 7, 129])
+        assert list(got) == [7, 64, 129]
+        assert got == fraction_rho_partial((1, 2), [7, 64, 129])
+
+    def test_checkpoints_below_depth_are_zero(self):
+        got = rho_series_partial_at((1, 1, 2), [1, 2, 3, 70])
+        assert got[1] == got[2] == 0
+        assert got[3] == brute_rho_partial((1, 1, 2), 3) > 0
+        assert got[70] == brute_rho_partial((1, 1, 2), 70)
+        assert all(type(v) is Fraction for v in got.values())
+
+    @pytest.mark.parametrize("bad", [2.7, "3"])
+    def test_non_integral_checkpoint_raises(self, bad):
+        with pytest.raises(TypeError):
+            rho_series_partial_at((2,), [bad])
+
+    @pytest.mark.parametrize("bad", [[], [0], [3, -1]])
+    def test_checkpoint_below_one_raises(self, bad):
+        with pytest.raises(ValueError):
+            rho_series_partial_at((2,), bad)
+
+    def test_shares_no_code_with_the_factorial_formula(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the series oracle called a closed formula")
+
+        for name in ("rho_exact", "rho_head_ones", "rho_uniform",
+                     "rho_alternating", "rho_increasing"):
+            monkeypatch.setattr(zetalike.rho, name, refuse)
+        got = rho_series_partial_at((2, 1, 3), [100])
+        assert got == fraction_rho_partial((2, 1, 3), [100])
 
     def test_monotone_and_bounded(self):
         for parts in [(2,), (1, 3), (2, 2), (1, 1, 2)]:
