@@ -27,6 +27,7 @@ Fraction(I_m, prod_i d^(s_i) M^m), normalised once.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -60,7 +61,7 @@ class EtaIndex:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(operator.index, self.parts))
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise InadmissibleIndexError("eta-index needs depth >= 1")

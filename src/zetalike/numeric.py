@@ -22,6 +22,12 @@ Euler-Maclaurin summation *in exact rational arithmetic*:
 with the classical certificate |R_J| <= first omitted term (the integrand
 x^(-k) is completely monotone, so the remainder alternates).  The returned
 error bound is that rational certificate plus the float-conversion slack.
+
+It runs in integers: B_2..B_160 come from one tangent-number table (Brent
+and Harvey, 2013), the search for N tests each correction by integer
+cross-products, and only the accepted N builds its value, the head over
+lcm(1..N-1)^k.  Value and certificate equal those of a term-by-term
+``Fraction`` evaluation, so every printed digit and bound is unchanged.
 """
 
 from __future__ import annotations
@@ -55,13 +61,28 @@ def rising_factorial(x: Rational | int, n: int) -> Rational | int:
     return math.prod(x + i for i in range(n))
 
 
+# the most Euler-Maclaurin corrections tried at one cutoff
+_EM_TERMS = 80
+
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli_table(n: int) -> tuple[Fraction, ...]:
+    """(B_2, ..., B_{2n}) as B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), with
+    the tangent numbers T_j from Brent and Harvey's in-place recurrence."""
+    t = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return tuple(Fraction((-1) ** (j - 1) * 2 * j * t[j], 4**j * (4**j - 1))
+                 for j in range(1, n + 1))
+
+
 @functools.lru_cache(maxsize=None)
 def bernoulli_number(m: int) -> Rational:
-    """Bernoulli number B_m (convention B_1 = -1/2).
-
-    Computed by the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0,
-    which is plenty for the m <= ~150 this library ever asks for.
-    """
+    """Bernoulli number B_m (convention B_1 = -1/2); even m >= 2 are read from
+    the tangent-number table, never shorter than :func:`zeta_constant` needs."""
     if m < 0:
         raise ValueError(f"Bernoulli numbers need m >= 0, got {m}")
     if m == 0:
@@ -70,10 +91,7 @@ def bernoulli_number(m: int) -> Rational:
         return Fraction(-1, 2)
     if m % 2 == 1:
         return Fraction(0)
-    acc = Fraction(0)
-    for j in range(m):
-        acc += math.comb(m + 1, j) * bernoulli_number(j)
-    return -acc / (m + 1)
+    return _bernoulli_table(max(m // 2, _EM_TERMS))[m // 2 - 1]
 
 
 # --------------------------------------------------------------------------
@@ -173,28 +191,48 @@ class ApproxReal:
 # --------------------------------------------------------------------------
 
 def _zeta_tail_rational(k: int, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact Euler-Maclaurin value of zeta(k) with remainder bound <= eps."""
+    """Exact Euler-Maclaurin value of zeta(k) with remainder bound <= eps.
+
+    With c_j = B_{2j} (k)_{2j-1} / (2j)! = p_j / q_j, the cutoff n0 doubles
+    from 8 until, within 80 corrections, |p_j| den(eps) <= num(eps) q_j
+    n0^(k+2j-1); it is given up once |c_j| >= |c_{j-1}| n0^2.
+    """
+    coeffs = []
+    rising, fact = k, 2  # (k)_{2j-1} and (2j)!
+    for j in range(1, _EM_TERMS + 1):
+        b = bernoulli_number(2 * j)
+        coeffs.append((b.numerator * rising, b.denominator * fact))
+        rising *= (k + 2 * j - 1) * (k + 2 * j)
+        fact *= (2 * j + 1) * (2 * j + 2)
+    fits = [(abs(p) * eps.denominator, eps.numerator * q) for p, q in coeffs]
+    grows = [(abs(p) * q0, abs(p0) * q) for (p0, q0), (p, q) in zip(coeffs, coeffs[1:])]
     n0 = 8
     while n0 <= 1 << 24:
-        tail = Fraction(1, (k - 1) * n0 ** (k - 1)) + Fraction(1, 2 * n0**k)
-        prev = None
-        for j in range(1, 81):
-            term = (
-                bernoulli_number(2 * j)
-                * rising_factorial(k, 2 * j - 1)
-                / (math.factorial(2 * j) * Fraction(n0) ** (k + 2 * j - 1))
-            )
+        power = n0 ** (k + 1)  # n0^(k+2j-1)
+        for j, (lhs, rhs) in enumerate(fits):
             # certificate: magnitude of the first omitted correction term
-            cert = abs(term)
-            if cert <= eps:
-                head = sum(Fraction(1, n**k) for n in range(1, n0))
-                return head + tail, cert
-            if prev is not None and cert >= prev:
+            if lhs <= rhs * power:
+                p, q = coeffs[j]
+                return _em_value(k, n0, coeffs[:j]), Fraction(abs(p), q * power)
+            if j and grows[j - 1][0] >= grows[j - 1][1] * n0 * n0:
                 break  # asymptotic divergence; need a larger n0
-            prev = cert
-            tail += term
+            power *= n0 * n0
         n0 *= 2
     raise ToleranceError(f"zeta({k}) to eps={eps} exceeded the summation budget")
+
+
+def _em_value(k: int, n0: int, coeffs) -> Fraction:
+    """sum_{n<n0} n^-k + n0^(1-k)/(k-1) + n0^-k/2 + sum_{j<=J} c_j n0^(1-k-2j):
+    the head over lcm(1..n0-1)^k, the rest over 2(k-1) lcm(q_j) n0^(k+2J+1)."""
+    den = math.lcm(*range(1, n0)) ** k
+    head = sum(den // n**k for n in range(1, n0))
+    common = math.lcm(1, *(q for _, q in coeffs))
+    corr = 0
+    for p, q in coeffs:  # Horner in n0^2
+        corr = (corr + p * (common // q)) * n0 * n0
+    span = n0 ** (2 * len(coeffs) + 1)
+    tail = common * span * (2 * n0 + k - 1) + 2 * (k - 1) * corr
+    return Fraction(head, den) + Fraction(tail, 2 * (k - 1) * common * span * n0**k)
 
 
 @functools.lru_cache(maxsize=None)

@@ -59,7 +59,7 @@ class RhoIndex:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(operator.index, self.parts))
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise InadmissibleIndexError("rho-index needs depth >= 1")

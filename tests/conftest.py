@@ -8,11 +8,14 @@ checked by two genuinely different computations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
+
+from zetalike import ToleranceError
 
 
 def rising_int(x: int, m: int) -> int:
@@ -69,6 +72,44 @@ def recursive_weak_compositions(n: int, k: int):
     for head in range(n + 1):
         for rest in recursive_weak_compositions(n - head, k - 1):
             yield (head,) + rest
+
+
+@functools.lru_cache(maxsize=None)
+def recurrence_bernoulli(m: int) -> Fraction:
+    """B_m (B_1 = -1/2) by the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0."""
+    if m == 0:
+        return Fraction(1)
+    if m == 1:
+        return Fraction(-1, 2)
+    if m % 2 == 1:
+        return Fraction(0)
+    return -sum(comb(m + 1, j) * recurrence_bernoulli(j) for j in range(m)) / (m + 1)
+
+
+def fraction_zeta_tail(k: int, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """Euler-Maclaurin value of zeta(k) and its certificate, term by term in
+    ``Fraction``s: the cutoff n0 doubles from 8 until, within 80 corrections,
+    the first omitted one is <= eps, giving up on n0 once they stop shrinking."""
+    n0 = 8
+    while n0 <= 1 << 24:
+        tail = Fraction(1, (k - 1) * n0 ** (k - 1)) + Fraction(1, 2 * n0**k)
+        prev = None
+        for j in range(1, 81):
+            term = (
+                recurrence_bernoulli(2 * j)
+                * rising_int(k, 2 * j - 1)
+                / (factorial(2 * j) * Fraction(n0) ** (k + 2 * j - 1))
+            )
+            cert = abs(term)
+            if cert <= eps:
+                head = sum(Fraction(1, n**k) for n in range(1, n0))
+                return head + tail, cert
+            if prev is not None and cert >= prev:
+                break
+            prev = cert
+            tail += term
+        n0 *= 2
+    raise ToleranceError(f"zeta({k}) to eps={eps} exceeded the summation budget")
 
 
 def brute_mzv_star(n: int, m: int, shift=Fraction(0)) -> Fraction:

@@ -29,6 +29,13 @@ class TestEtaIndex:
         with pytest.raises(InadmissibleIndexError):
             EtaIndex(())
 
+    @pytest.mark.parametrize("bad", [(2.7,), ("3",), (2.5,), (1, 2.0)])
+    def test_non_integral_entry_raises(self, bad):
+        with pytest.raises(TypeError):
+            EtaIndex(bad)
+        with pytest.raises(TypeError):
+            eta_symbolic(bad)
+
 
 class TestZetaExpr:
     def test_structural_equality(self):

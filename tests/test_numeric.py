@@ -3,7 +3,10 @@ from math import factorial
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fraction_zeta_tail, recurrence_bernoulli
 from zetalike import (
     ApproxReal,
     ToleranceError,
@@ -42,6 +45,18 @@ class TestBernoulli:
         }
         for m, want in expected.items():
             assert bernoulli_number(m) == want
+
+    def test_matches_recurrence(self):
+        for m in range(201):
+            assert bernoulli_number(m) == recurrence_bernoulli(m), m
+
+    def test_odd_beyond_one_is_zero(self):
+        for m in range(3, 202, 2):
+            assert bernoulli_number(m) == 0
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            bernoulli_number(-1)
 
     def test_pi_power_factors(self):
         assert zeta_pi_power_factor(2) == Fraction(1, 6)
@@ -103,6 +118,24 @@ class TestZetaConstant:
         )
         with pytest.raises(ToleranceError):
             zeta_constant.__wrapped__(2, 10)
+
+    @pytest.mark.parametrize("digits", [1, 2, 10, 20, 57, 100, 150, 211, 299, 300])
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_tail_matches_fraction_reference(self, k, digits):
+        # same value and same certificate, so every printed digit and bound
+        eps = Fraction(1, 2 * 10**digits)
+        got = numeric._zeta_tail_rational(k, eps)
+        want = fraction_zeta_tail(k, eps)
+        assert got == want
+        assert all(type(x) is Fraction for x in got)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(k=st.integers(2, 20), digits=st.integers(1, 300))
+    def test_bound_holds_against_mpmath(self, k, digits):
+        got = zeta_constant(k, digits)
+        with mpmath.mp.workdps(2 * digits + 20):
+            err = abs(got.value - mpmath.zeta(k))
+            assert err <= got.error_bound <= mpmath.mpf(10) ** -digits
 
     def test_deterministic_across_calls(self):
         a = zeta_constant(5, 12)

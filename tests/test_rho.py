@@ -55,6 +55,13 @@ class TestRhoIndex:
     def test_coerce_accepts_lists(self):
         assert rho_exact([2]) == 1
 
+    @pytest.mark.parametrize("bad", [(2.7,), ("3",), (2.5,), (1, 2.0)])
+    def test_non_integral_entry_raises(self, bad):
+        with pytest.raises(TypeError):
+            RhoIndex(bad)
+        with pytest.raises(TypeError):
+            rho_exact(bad)
+
 
 class TestRhoExact:
     def test_printed_samples(self):
