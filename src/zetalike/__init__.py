@@ -38,7 +38,6 @@ from .numeric import (
     ApproxReal,
     Rational,
     bernoulli_number,
-    rising_factorial,
     zeta_constant,
     zeta_pi_power_factor,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "rho_increasing",
     "rho_series_partial_at",
     "rho_uniform",
-    "rising_factorial",
     "run_check",
     "run_suite",
     "suffix_balance_sum",

@@ -5,6 +5,9 @@ admissible index of one weight, ``verify`` runs the identity suites.  Output
 is deterministic: identical argv yields byte-identical stdout (compositions
 enumerate in lexicographic order, JSON keys are sorted).
 
+Commands return their exit code and stdout text; :func:`run` writes it, or
+one ``error: ...`` line to stderr for a :class:`ZetalikeError`.
+
 Exit codes: 0 all requested checks pass, 1 a verified identity failed,
 2 usage or parse error.
 """
@@ -42,27 +45,23 @@ def _parse_index(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _csv_dumps(rows: list[dict], fieldnames: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _markdown_table(rows: list[dict], fieldnames: list[str]) -> str:
-    head = "| " + " | ".join(fieldnames) + " |"
-    sep = "| " + " | ".join("---" for _ in fieldnames) + " |"
-    body = ["| " + " | ".join(str(r[f]) for f in fieldnames) + " |" for r in rows]
-    return "\n".join([head, sep, *body]) + "\n"
+def _format(fmt: str, obj, rows: list[dict]) -> str:
+    """obj as JSON, or rows as csv or a markdown table, columns in key order."""
+    if fmt == "json":
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    fields = list(rows[0])
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue()
+    lines = [fields, ["---"] * len(fields), *(r.values() for r in rows)]
+    return "".join("| " + " | ".join(map(str, line)) + " |\n" for line in lines)
 
 
 # --------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand implementations: each returns (exit code, stdout text)
 # --------------------------------------------------------------------------
 
 def _envelope(idx: tuple[int, ...], value) -> dict:
@@ -75,7 +74,7 @@ def _envelope(idx: tuple[int, ...], value) -> dict:
     }
 
 
-def _cmd_rho(args) -> int:
+def _cmd_rho(args) -> tuple[int, str]:
     idx = RhoIndex.coerce(args.index)
     a = idx.alpha
     # rho(s) = 1/(|a|! prod of suffix sums of a): refuse a denominator too long
@@ -89,11 +88,14 @@ def _cmd_rho(args) -> int:
             f"rho{idx} has a denominator of more than {limit} digits, too long to print"
         )
     value = rho_exact(idx)
-    print(_json_dumps(_envelope(args.index, value)) if args.format == "json" else value)
-    return 0
+    if args.format == "json":
+        return 0, _format("json", _envelope(args.index, value), [])
+    return 0, f"{value}\n"
 
 
-def _cmd_eta(args) -> int:
+def _cmd_eta(args) -> tuple[int, str]:
+    if not 1 <= args.digits <= MAX_DIGITS:
+        raise ZetalikeError(f"--digits must be in 1..{MAX_DIGITS}, got {args.digits}")
     if args.mode == "symbolic":
         value = eta_symbolic(args.index)
         text = value.render(args.render)
@@ -103,8 +105,9 @@ def _cmd_eta(args) -> int:
             f"{mpmath.nstr(value.value, args.digits)} "
             f"(error <= {mpmath.nstr(value.error_bound, 3)})"
         )
-    print(_json_dumps(_envelope(args.index, value)) if args.format == "json" else text)
-    return 0
+    if args.format == "json":
+        return 0, _format("json", _envelope(args.index, value), [])
+    return 0, f"{text}\n"
 
 
 def _table_values(family: str, weight: int) -> list[tuple[tuple[int, ...], object]]:
@@ -114,18 +117,12 @@ def _table_values(family: str, weight: int) -> list[tuple[tuple[int, ...], objec
     return [(idx, eta_symbolic(idx)) for idx in indices(weight)]
 
 
-def _cmd_table(args) -> int:
-    if not (2 <= args.weight <= MAX_TABLE_WEIGHT):
-        print(
-            f"error: table weight must be in 2..{MAX_TABLE_WEIGHT}, got {args.weight}",
-            file=sys.stderr,
-        )
-        return 2
+def _cmd_table(args) -> tuple[int, str]:
+    if not 2 <= args.weight <= MAX_TABLE_WEIGHT:
+        raise ZetalikeError(f"table weight must be in 2..{MAX_TABLE_WEIGHT}, got {args.weight}")
     values = _table_values(args.family, args.weight)
     if args.format == "json":
-        print(_json_dumps([_envelope(idx, value) for idx, value in values]))
-        return 0
-    fields = ["weight", "depth", "index", "value"]
+        return 0, _format("json", [_envelope(idx, value) for idx, value in values], [])
     rows = [
         {
             "weight": args.weight,
@@ -135,11 +132,7 @@ def _cmd_table(args) -> int:
         }
         for idx, value in values
     ]
-    if args.format == "csv":
-        print(_csv_dumps(rows, fields), end="")
-    else:
-        print(_markdown_table(rows, fields), end="")
-    return 0
+    return 0, _format(args.format, None, rows)
 
 
 def _report_row(d: dict) -> dict:
@@ -164,22 +157,16 @@ def _value_brief(vjson: dict) -> str:
     return " + ".join(terms)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     reports = run_suite(args.suite, args.max_weight)
     dicts = [r.to_json_dict() for r in reports]
-    fields = ["identity", "parameters", "passed", "lhs", "rhs", "discrepancy"]
-    if args.format == "json":
-        print(_json_dumps(dicts))
-    elif args.format == "csv":
-        print(_csv_dumps(list(map(_report_row, dicts)), fields), end="")
-    else:
-        print(_markdown_table(list(map(_report_row, dicts)), fields), end="")
-        n_fail = sum(1 for r in reports if not r.passed)
-        if n_fail:
-            print(f"\n{n_fail} of {len(reports)} checks FAILED")
-        else:
-            print(f"\nall {len(reports)} checks passed")
-    return 0 if all(r.passed for r in reports) else 1
+    rows = [] if args.format == "json" else list(map(_report_row, dicts))
+    text = _format(args.format, dicts, rows)
+    n_fail = sum(not r.passed for r in reports)
+    if args.format == "markdown":
+        verdict = f"{n_fail} of {len(reports)} checks FAILED" if n_fail else f"all {len(reports)} checks passed"
+        text += f"\n{verdict}\n"
+    return (1 if n_fail else 0), text
 
 
 # --------------------------------------------------------------------------
@@ -224,24 +211,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> int:
-    """Parse argv and execute; returns the process exit code."""
-    parser = _build_parser()
+    """Parse argv, run the command and write its output; returns the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if not 1 <= getattr(args, "digits", 1) <= MAX_DIGITS:
-        print(
-            f"error: --digits must be in 1..{MAX_DIGITS}, got {args.digits}",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        return args.func(args)
+        code, text = args.func(args)
     except ZetalikeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(f"error: {exc}\n")
         return 2
+    sys.stdout.write(text)
+    return code
 
 
 def main() -> None:

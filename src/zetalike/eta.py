@@ -179,7 +179,11 @@ class ZetaExpr:
         per-constant bounds plus rounding slack."""
         out = ApproxReal.from_rational(self.constant, digits)
         for k, c in self._items:
-            extra = max(0, int(math.ceil(math.log10(1 + abs(float(c))))))
+            try:
+                mag = abs(float(c))
+            except OverflowError:  # past float range: |c| < its integer part + 1
+                mag = abs(c.numerator) // c.denominator + 1
+            extra = max(0, int(math.ceil(math.log10(1 + mag))))
             out = out + zeta_constant(k, digits + extra + 2) * c
         return out
 
@@ -246,20 +250,11 @@ class ZetaExpr:
 class PartialFractionTable:
     """Coefficients c[j][k] with prod_j (n+j-1)^(-s_j) = sum c[j][k]/(n+j-1)^k.
 
-    ``rows[j-1][k-1]`` holds c[j][k] for 1 <= j <= depth, 1 <= k <= s_j.
+    ``rows[j-1][k-1]`` holds c[j][k] for 1 <= j <= len(parts), 1 <= k <= s_j.
     """
 
     parts: tuple[int, ...]
     rows: tuple[tuple[Rational, ...], ...] = field(repr=False)
-
-    @property
-    def depth(self) -> int:
-        return len(self.parts)
-
-    def coefficient(self, j: int, k: int) -> Rational:
-        if not (1 <= j <= self.depth) or not (1 <= k <= self.parts[j - 1]):
-            raise IndexError(f"no coefficient c[{j}][{k}] for index {self.parts}")
-        return self.rows[j - 1][k - 1]
 
     def first_order_sum(self) -> Rational:
         """sum_j c[j][1]; zero for every admissible index (the convergence

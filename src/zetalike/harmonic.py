@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import PoleError
 from .numeric import Rational
@@ -51,38 +51,21 @@ def harmonic_vector(n: int, depth: int) -> tuple[Rational, ...]:
     return tuple(harmonic(n, power) for power in range(1, depth + 1))
 
 
-def _partition_multiplicities(m: int, max_part: int) -> Iterator[dict[int, int]]:
-    # multiplicity vectors {part: count} with sum(part*count) == m
-    if m == 0:
-        yield {}
-        return
-    if max_part == 0:
-        return
-    for count in range(m // max_part, -1, -1):
-        for rest in _partition_multiplicities(m - count * max_part, max_part - 1):
-            if count:
-                rest = {**rest, max_part: count}
-            yield rest
-
-
 def bell_polynomial(m: int, values: Sequence[Rational | int]) -> Rational:
     """P_m evaluated at (values[0], ..., values[m-1]).
 
-    Uses the defining sum over partitions k_1 + 2 k_2 + ... + m k_m = m of
-    prod_i (t_i/i)^{k_i} / k_i!; partition counts stay tiny for the m this
-    library needs.
+    Differentiating exp(sum_k t_k z^k / k) gives the recurrence
+    i P_i = sum_{k=1..i} t_k P_{i-k} with P_0 = 1, which builds P_1..P_m in
+    O(m^2) exact products.
     """
     if m < 0:
         raise ValueError(f"bell_polynomial needs m >= 0, got {m}")
     if len(values) < m:
         raise ValueError(f"need at least {m} values, got {len(values)}")
-    total = Fraction(0)
-    for mult in _partition_multiplicities(m, m):
-        term = Fraction(1)
-        for part, count in mult.items():
-            term *= (Fraction(values[part - 1], part)) ** count / math.factorial(count)
-        total += term
-    return total
+    p = [Fraction(1)]
+    for i in range(1, m + 1):
+        p.append(sum((values[k - 1] * p[i - k] for k in range(1, i + 1)), Fraction(0)) / i)
+    return p[m]
 
 
 def mzv_star_truncated(n: int, m: int, shift: Rational | int = 0) -> Rational:

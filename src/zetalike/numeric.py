@@ -46,19 +46,10 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "ApproxReal",
-    "rising_factorial",
     "bernoulli_number",
     "zeta_constant",
     "zeta_pi_power_factor",
 ]
-
-
-def rising_factorial(x: Rational | int, n: int) -> Rational | int:
-    """Pochhammer product x(x+1)...(x+n-1), with empty product 1 for n=0; an
-    int for int x, so integer series terms stay in integer arithmetic."""
-    if n < 0:
-        raise ValueError(f"rising_factorial requires n >= 0, got n={n}")
-    return math.prod(x + i for i in range(n))
 
 
 # the most Euler-Maclaurin corrections tried at one cutoff

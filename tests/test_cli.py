@@ -142,10 +142,10 @@ class TestTableCommand:
         assert runs[0] == runs[1]
 
     def test_weight_out_of_range(self, capsys):
-        code, _, err = run_capture(capsys, ["table", "rho", "--weight", "1"])
-        assert code == 2
-        code, _, err = run_capture(capsys, ["table", "rho", "--weight", "40"])
-        assert code == 2
+        for weight in ("1", "40"):
+            code, out, err = run_capture(capsys, ["table", "rho", "--weight", weight])
+            assert code == 2 and out == ""
+            assert err == f"error: table weight must be in 2..12, got {weight}\n"
 
 
 class TestVerifyCommand:
@@ -209,8 +209,16 @@ class TestUsageErrors:
         assert cli.run([]) == 2
 
     def test_bad_digits(self, capsys):
-        code, _, err = run_capture(capsys, ["eta", "2", "--mode", "numeric", "--digits", "0"])
-        assert code == 2
+        code, out, err = run_capture(capsys, ["eta", "2", "--mode", "numeric", "--digits", "0"])
+        assert code == 2 and out == ""
+        assert err == "error: --digits must be in 1..300, got 0\n"
+
+    def test_parser_keeps_no_state_between_runs(self, capsys):
+        # the parser is built once; a second run must see the default 12 digits
+        _, short, _ = run_capture(capsys, ["eta", "2", "--mode", "numeric", "--digits", "7"])
+        code, out, _ = run_capture(capsys, ["eta", "2", "--mode", "numeric"])
+        assert short.startswith("1.644934 ")
+        assert code == 0 and out.startswith("1.64493406685 ")
 
     def test_digits_above_limit(self, capsys):
         # 3000 once underflowed 10.0**-digits to 0.0 and ended in a traceback

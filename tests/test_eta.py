@@ -80,6 +80,14 @@ class TestZetaExpr:
             want = 1 + mpmath.zeta(2) - 2 * mpmath.zeta(3)
             assert abs(val.value - want) <= val.error_bound
 
+    @pytest.mark.parametrize("k, c", [(2, Fraction(10**309)), (3, Fraction(-3 * 10**320, 7))])
+    def test_numeric_coefficient_beyond_float_range(self, k, c):
+        # float(c) overflows here; the working precision comes from c's integer part
+        val = ZetaExpr(1, {k: c}).numeric(5)
+        with mpmath.mp.workdps(340):
+            want = 1 + mpmath.mpf(c.numerator) / c.denominator * mpmath.zeta(k)
+            assert abs(val.value - want) <= val.error_bound
+
 
 class TestPartialFractions:
     def test_telescoping_pair(self):
@@ -88,15 +96,11 @@ class TestPartialFractions:
 
     def test_depth_two_with_double_pole(self):
         table = partial_fraction_shifted((1, 2))
-        assert table.coefficient(1, 1) == 1
-        assert table.coefficient(2, 1) == -1
-        assert table.coefficient(2, 2) == -1
+        assert table.rows == ((Fraction(1),), (Fraction(-1), Fraction(-1)))
 
     def test_leading_double_pole(self):
         table = partial_fraction_shifted((2, 1))
-        assert table.coefficient(1, 2) == 1
-        assert table.coefficient(1, 1) == -1
-        assert table.coefficient(2, 1) == 1
+        assert table.rows == ((Fraction(-1), Fraction(1)), (Fraction(1),))
 
     def test_reconstruction_on_random_indices(self):
         rng = random.Random(271828)

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import factorial
 
 import mpmath
 import pytest
@@ -11,23 +10,10 @@ from zetalike import (
     ApproxReal,
     ToleranceError,
     bernoulli_number,
-    rising_factorial,
     zeta_constant,
     zeta_pi_power_factor,
 )
 from zetalike import numeric
-
-
-class TestFactorialFamily:
-    def test_rising_factorial_empty_product(self):
-        assert rising_factorial(3, 0) == 1
-
-    def test_rising_factorial_from_one_is_factorial(self):
-        for n in range(21):
-            assert rising_factorial(1, n) == factorial(n)
-
-    def test_rising_factorial_rational_start(self):
-        assert rising_factorial(Fraction(1, 2), 3) == Fraction(15, 8)
 
 
 class TestBernoulli:
