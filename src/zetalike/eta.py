@@ -37,7 +37,7 @@ import mpmath
 
 from .errors import InadmissibleIndexError, ToleranceError
 from .harmonic import bell_polynomial, harmonic, harmonic_vector
-from .numeric import ApproxReal, Rational, zeta_constant, zeta_pi_power_factor
+from .numeric import ApproxReal, Rational, _slack, zeta_constant, zeta_pi_power_factor
 
 __all__ = [
     "EtaIndex",
@@ -145,9 +145,6 @@ class ZetaExpr:
     def __sub__(self, other) -> "ZetaExpr":
         return self + (-ZetaExpr.coerce(other))
 
-    def __rsub__(self, other) -> "ZetaExpr":
-        return ZetaExpr.coerce(other) + (-self)
-
     def __mul__(self, scalar) -> "ZetaExpr":
         scalar = Fraction(scalar)
         return ZetaExpr(self.constant * scalar, {k: c * scalar for k, c in self._items})
@@ -175,17 +172,48 @@ class ZetaExpr:
     # ---- evaluation / rendering ----
 
     def numeric(self, digits: int = 20) -> ApproxReal:
-        """Evaluate with certified zeta constants; bound <= the summed
-        per-constant bounds plus rounding slack."""
-        out = ApproxReal.from_rational(self.constant, digits)
+        """Evaluate with certified zeta constants: |value - self| <= error_bound.
+
+        A step at precision d runs at d + 8 digits, where a rounding moves x
+        by at most u |x|, u = 2^-prec < 1.5 * 10^-(d+9).  ``_slack(d, x)`` =
+        10^-(d+4) (1 + |x|) exceeds 10^4 u (1 + |x|), which covers the
+        roundings of x and of the bound terms, all below 1 + |x|.
+
+        1. The constant q' = num / den, three roundings, is within
+           _slack(digits, q') of q.
+        2. For a term c zeta(k), z = zeta_constant(k, digits + extra + 2)
+           has |z' - zeta(k)| <= e_z, and c' converts as in 1 with
+           e_c = _slack(z.dps, c').  Since zeta(k) c - z'c' =
+           z' dc + c' dz + dz dc, the product rule on the computed values
+           gives |z'| e_c + |c'| e_z + e_z e_c, and rounding z'c' adds
+           _slack(z.dps, z'c').
+        3. The running sum moves to d = max(d, z.dps), and its bound gains
+           the term's bound and _slack(d, sum) for rounding the sum.
+
+        The bound stays small: 10^extra >= 1 + |c|, so |c'| e_z <= 10^-(digits+2).
+        """
+        dps, q = digits, self.constant
+        with mpmath.mp.workdps(dps + 8):
+            value = mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+            bound = _slack(dps, value)
         for k, c in self._items:
             try:
                 mag = abs(float(c))
             except OverflowError:  # past float range: |c| < its integer part + 1
                 mag = abs(c.numerator) // c.denominator + 1
             extra = max(0, int(math.ceil(math.log10(1 + mag))))
-            out = out + zeta_constant(k, digits + extra + 2) * c
-        return out
+            z = zeta_constant(k, digits + extra + 2)
+            with mpmath.mp.workdps(z.dps + 8):
+                cv = mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+                ce = _slack(z.dps, cv)
+                term = z.value * cv
+                term_bound = (abs(z.value) * ce + abs(cv) * z.error_bound
+                              + z.error_bound * ce + _slack(z.dps, term))
+            dps = max(dps, z.dps)
+            with mpmath.mp.workdps(dps + 8):
+                value = value + term
+                bound = bound + term_bound + _slack(dps, value)
+        return ApproxReal(value, bound, dps)
 
     @staticmethod
     def _fmt_term(mag: Fraction, symbol: str) -> str:
@@ -233,13 +261,6 @@ class ZetaExpr:
             "constant": str(self.constant),
             "zeta": {str(k): str(c) for k, c in self._items},
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ZetaExpr":
-        return cls(
-            Fraction(obj["constant"]),
-            {int(k): Fraction(c) for k, c in obj.get("zeta", {}).items()},
-        )
 
 
 # --------------------------------------------------------------------------
@@ -352,6 +373,16 @@ def eta_numeric(
     mode="fast" evaluates :func:`eta_symbolic` with certified zeta constants.
 
     The oracle refuses tolerances below 1e-12 and term counts above 10**7.
+    Its error_bound is tail + slack.  Summands past N are at most n^-w, so
+    the tail is at most N^(1-w)/(w-1).  The slack (2r+4) * 2.3e-16 *
+    (total+1), r = depth, assumes ``math.fsum`` rounds correctly and libm
+    ``pow`` is within 1 ulp.  With u = 2^-53: each (n+j-1)^(-s_j), a pow of
+    an exact integer, is off by at most 2u of itself, and their product adds
+    r-1 roundings of u, so each term is off by under 3.01 r u of itself.  The
+    terms are positive and fsum rounds once more, so |total - sum| < 3.02 r u
+    (total+1) < 3.4e-16 r (total+1); the rest covers rounding ``tail`` and
+    ``tail + slack``.  The 1e-300 covers underflowed terms, where relative
+    error fails: at most 10**7 terms, each off by about r * 2^-1074.
     """
     idx = EtaIndex.coerce(idx)
     if not (math.isfinite(tolerance) and tolerance > 0):

@@ -5,12 +5,8 @@ Python ints; both normalize eagerly and compare structurally, which is what
 every identity check in this library relies on.
 
 Inexact values are :class:`ApproxReal`: an mpmath float paired with a proven
-absolute error bound.  Arithmetic propagates bounds conservatively --
-bounds add under addition, and multiplication uses
-
-    |ab - a'b'| <= |a| eb + |b| ea + ea eb
-
-plus a rounding slack far below any tolerance used by callers.
+absolute error bound.  It is a value, not an algebra: the one place bounds
+are combined is ``eta.ZetaExpr.numeric``, whose docstring proves its bound.
 
 The only transcendental constants needed anywhere are zeta(k) for integer
 k >= 2.  :func:`zeta_constant` evaluates the zeta tail by
@@ -98,8 +94,7 @@ def _slack(dps: int, magnitude) -> mpmath.mpf:
 class ApproxReal:
     """A real number known to absolute accuracy ``error_bound``.
 
-    ``dps`` records the decimal working precision the value was produced at;
-    mixed-precision arithmetic widens to the larger operand.
+    ``dps`` records the decimal working precision the value was produced at.
     """
 
     value: mpmath.mpf
@@ -109,66 +104,6 @@ class ApproxReal:
     def __post_init__(self):
         if self.error_bound < 0:
             raise ValueError("error_bound must be nonnegative")
-
-    @classmethod
-    def from_rational(cls, q: Rational | int, dps: int = 20) -> "ApproxReal":
-        q = Fraction(q)
-        with mpmath.mp.workdps(dps + 8):
-            v = mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
-            return cls(v, _slack(dps, v), dps)
-
-    @classmethod
-    def _coerce(cls, x, dps: int) -> "ApproxReal":
-        if isinstance(x, ApproxReal):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls.from_rational(x, dps)
-        raise TypeError(f"cannot coerce {type(x).__name__} to ApproxReal")
-
-    def __add__(self, other) -> "ApproxReal":
-        other = ApproxReal._coerce(other, self.dps)
-        dps = max(self.dps, other.dps)
-        with mpmath.mp.workdps(dps + 8):
-            v = self.value + other.value
-            eb = self.error_bound + other.error_bound + _slack(dps, v)
-        return ApproxReal(v, eb, dps)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ApproxReal":
-        return ApproxReal(-self.value, self.error_bound, self.dps)
-
-    def __sub__(self, other) -> "ApproxReal":
-        return self + (-ApproxReal._coerce(other, self.dps))
-
-    def __rsub__(self, other) -> "ApproxReal":
-        return ApproxReal._coerce(other, self.dps) + (-self)
-
-    def __mul__(self, other) -> "ApproxReal":
-        other = ApproxReal._coerce(other, self.dps)
-        dps = max(self.dps, other.dps)
-        with mpmath.mp.workdps(dps + 8):
-            v = self.value * other.value
-            eb = (
-                abs(self.value) * other.error_bound
-                + abs(other.value) * self.error_bound
-                + self.error_bound * other.error_bound
-                + _slack(dps, v)
-            )
-        return ApproxReal(v, eb, dps)
-
-    __rmul__ = __mul__
-
-    def agrees_with(self, other: "ApproxReal", tol) -> bool:
-        """Equality at tolerance tol: |a-b| <= tol + a.bound + b.bound."""
-        other = ApproxReal._coerce(other, self.dps)
-        with mpmath.mp.workdps(max(self.dps, other.dps) + 8):
-            return abs(self.value - other.value) <= (
-                mpmath.mpf(tol) + self.error_bound + other.error_bound
-            )
-
-    def __float__(self) -> float:
-        return float(self.value)
 
     def __repr__(self) -> str:
         return (
@@ -181,13 +116,15 @@ class ApproxReal:
 # zeta(k) with a certified bound
 # --------------------------------------------------------------------------
 
-def _zeta_tail_rational(k: int, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact Euler-Maclaurin value of zeta(k) with remainder bound <= eps.
+def _zeta_tail_rational(k: int, digits: int) -> tuple[Fraction, Fraction]:
+    """Exact Euler-Maclaurin value of zeta(k) with remainder bound
+    <= eps = 10^-digits / 2.
 
     With c_j = B_{2j} (k)_{2j-1} / (2j)! = p_j / q_j, the cutoff n0 doubles
     from 8 until, within 80 corrections, |p_j| den(eps) <= num(eps) q_j
     n0^(k+2j-1); it is given up once |c_j| >= |c_{j-1}| n0^2.
     """
+    eps = Fraction(1, 2 * 10**digits)
     coeffs = []
     rising, fact = k, 2  # (k)_{2j-1} and (2j)!
     for j in range(1, _EM_TERMS + 1):
@@ -209,7 +146,7 @@ def _zeta_tail_rational(k: int, eps: Fraction) -> tuple[Fraction, Fraction]:
                 break  # asymptotic divergence; need a larger n0
             power *= n0 * n0
         n0 *= 2
-    raise ToleranceError(f"zeta({k}) to eps={eps} exceeded the summation budget")
+    raise ToleranceError(f"zeta({k}) to {digits} digits exceeded the summation budget")
 
 
 def _em_value(k: int, n0: int, coeffs) -> Fraction:
@@ -233,8 +170,7 @@ def zeta_constant(k: int, digits: int) -> ApproxReal:
         raise ValueError(f"zeta_constant needs integer k >= 2, got {k!r} (divergent)")
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    eps = Fraction(1, 10**digits) / 2
-    val, cert = _zeta_tail_rational(k, eps)
+    val, cert = _zeta_tail_rational(k, digits)
     dps = digits + 10
     with mpmath.mp.workdps(dps + 8):
         v = mpmath.mpf(val.numerator) / mpmath.mpf(val.denominator)

@@ -36,7 +36,6 @@ Value = Union[Rational, ZetaExpr, ApproxReal]
 __all__ = [
     "VerificationReport",
     "value_to_json",
-    "value_from_json",
     "CHECKS",
     "SUITES",
     "run_check",
@@ -62,13 +61,6 @@ def value_to_json(v: Value) -> dict:
     if isinstance(v, ZetaExpr):
         return v.to_json_dict()
     raise TypeError(f"cannot serialize {type(v).__name__}")
-
-
-def value_from_json(obj: dict) -> Value:
-    if "error_bound" in obj:
-        return ApproxReal(mpmath.mpf(obj["value"]), mpmath.mpf(obj["error_bound"]))
-    expr = ZetaExpr.from_json_dict(obj)
-    return expr.constant if expr.is_rational() else expr
 
 
 @dataclass(frozen=True)

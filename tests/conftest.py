@@ -11,11 +11,12 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import ceil, comb, factorial, log10
 
+import mpmath
 import pytest
 
-from zetalike import ToleranceError
+from zetalike import ToleranceError, zeta_constant
 
 
 def rising_int(x: int, m: int) -> int:
@@ -110,6 +111,49 @@ def fraction_zeta_tail(k: int, eps: Fraction) -> tuple[Fraction, Fraction]:
             tail += term
         n0 *= 2
     raise ToleranceError(f"zeta({k}) to eps={eps} exceeded the summation budget")
+
+
+def _algebra_slack(dps: int, magnitude) -> mpmath.mpf:
+    return mpmath.mpf(10) ** (-(dps + 4)) * (1 + abs(magnitude))
+
+
+def _algebra_rational(q: Fraction, dps: int) -> tuple:
+    with mpmath.mp.workdps(dps + 8):
+        v = mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+        return v, _algebra_slack(dps, v), dps
+
+
+def _algebra_add(a: tuple, b: tuple) -> tuple:
+    dps = max(a[2], b[2])
+    with mpmath.mp.workdps(dps + 8):
+        v = a[0] + b[0]
+        return v, a[1] + b[1] + _algebra_slack(dps, v), dps
+
+
+def _algebra_mul(a: tuple, b: tuple) -> tuple:
+    dps = max(a[2], b[2])
+    with mpmath.mp.workdps(dps + 8):
+        v = a[0] * b[0]
+        eb = abs(a[0]) * b[1] + abs(b[0]) * a[1] + a[1] * b[1] + _algebra_slack(dps, v)
+        return v, eb, dps
+
+
+def algebra_zeta_numeric(expr, digits: int) -> tuple:
+    """(value, error_bound, dps) of ``expr.numeric(digits)`` by the operator
+    algebra on certified reals: the constant converted at ``digits``, then
+    out + zeta(k) * c per term, each operation at the wider dps + 8 and
+    adding its own rounding slack, the product by the rule
+    |ab - a'b'| <= |a'| e_b + |b'| e_a + e_a e_b."""
+    out = _algebra_rational(expr.constant, digits)
+    for k, c in sorted(expr.coeffs.items()):
+        try:
+            mag = abs(float(c))
+        except OverflowError:
+            mag = abs(c.numerator) // c.denominator + 1
+        z = zeta_constant(k, digits + max(0, ceil(log10(1 + mag))) + 2)
+        product = _algebra_mul((z.value, z.error_bound, z.dps), _algebra_rational(c, z.dps))
+        out = _algebra_add(out, product)
+    return out
 
 
 def brute_mzv_star(n: int, m: int, shift=Fraction(0)) -> Fraction:

@@ -13,7 +13,7 @@ from zetalike import (
     zeta_constant,
 )
 from zetalike.errors import FixtureError
-from zetalike.verify import CHECKS, value_from_json, value_to_json
+from zetalike.verify import CHECKS
 
 
 class TestRhoEtaConnection:
@@ -151,15 +151,6 @@ class TestQuadrature:
 
 
 class TestReportsInfrastructure:
-    def test_value_json_round_trip(self):
-        vals = [
-            Fraction(3, 7),
-            ZetaExpr(Fraction(-1, 2), {2: Fraction(5, 3)}),
-        ]
-        for v in vals:
-            again = value_from_json(value_to_json(v))
-            assert ZetaExpr.coerce(again) == ZetaExpr.coerce(v)
-
     def test_rerun_reproduces_reports(self):
         reports = [
             run_check("rho-eta-connection", q=1, r=2),
