@@ -98,7 +98,16 @@ def _cmd_eta(args) -> tuple[int, str]:
         raise ZetalikeError(f"--digits must be in 1..{MAX_DIGITS}, got {args.digits}")
     if args.mode == "symbolic":
         value = eta_symbolic(args.index)
-        text = value.render(args.render)
+        # json prints the zeta-style coefficients whatever --render says
+        style = args.render if args.format == "text" else "zeta"
+        limit = sys.get_int_max_str_digits()
+        if limit and any(max(abs(c.numerator), c.denominator) >= 10**limit
+                         for c, _ in value.pieces(style)):
+            raise ZetalikeError(
+                f"eta-value of weight {sum(args.index)} and depth {len(args.index)} "
+                f"has a number of more than {limit} digits, too long to print"
+            )
+        text = value.render(style)
     else:
         value = eta_numeric(args.index, mode="fast", tolerance=10.0 ** (-args.digits))
         text = (

@@ -20,8 +20,14 @@ the |d|, substituting t = M u turns each factor into
 d^(-s) (1 + (M/d) u)^(-s), whose u-series C(s+m-1, m) (-M/d)^m is integral.
 Their product, truncated at u^(s_j - 1), is built by s exact divisions by
 each linear factor 1 + (M/d) u, so every step is an integer
-multiply-subtract; the t^m coefficient is then the single
-Fraction(I_m, prod_i d^(s_i) M^m), normalised once.
+multiply-subtract; the t^m coefficient is I_m / (prod_i d^(s_i) M^m).
+
+The table keeps those integer pairs.  An eta-value is assembled from them
+without a ``Fraction`` per cell: the constant and each zeta(k) coefficient
+are each one sum of integer pairs over a running lcm (the constant's terms
+take the numerator and denominator of the cached H_{j-1}^(k)), so the value
+costs one ``Fraction`` per coefficient.  The first-order cancellation is
+checked on the integer numerator of sum_j c[j][1].
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import mpmath
 
 from .errors import InadmissibleIndexError, ToleranceError
 from .harmonic import bell_polynomial, harmonic, harmonic_vector
-from .numeric import ApproxReal, Rational, _slack, zeta_constant, zeta_pi_power_factor
+from .numeric import ApproxReal, Rational, _lcm_sum, _slack, zeta_constant, zeta_pi_power_factor
 
 __all__ = [
     "EtaIndex",
@@ -221,8 +227,9 @@ class ZetaExpr:
         head = symbol if num == 1 else f"{num}*{symbol}"
         return head if den == 1 else f"{head}/{den}"
 
-    def render(self, style: str = "zeta") -> str:
-        """Deterministic human-readable form.
+    def pieces(self, style: str = "zeta") -> list[tuple[Rational, str]]:
+        """The nonzero (coefficient, symbol) terms :meth:`render` prints, in
+        order; the constant's symbol is "".
 
         style="zeta" writes every term as zeta(k); style="pi" rewrites even
         arguments through zeta(2m) = c * pi^(2m) (so -zeta(2) prints as
@@ -238,6 +245,11 @@ class ZetaExpr:
                 pieces.append((c * zeta_pi_power_factor(k), f"pi^{k}"))
             else:
                 pieces.append((c, f"zeta({k})"))
+        return pieces
+
+    def render(self, style: str = "zeta") -> str:
+        """Deterministic human-readable form of :meth:`pieces`."""
+        pieces = self.pieces(style)
         if not pieces:
             return "0"
         out = []
@@ -271,16 +283,23 @@ class ZetaExpr:
 class PartialFractionTable:
     """Coefficients c[j][k] with prod_j (n+j-1)^(-s_j) = sum c[j][k]/(n+j-1)^k.
 
-    ``rows[j-1][k-1]`` holds c[j][k] for 1 <= j <= len(parts), 1 <= k <= s_j.
+    ``pairs[j-1][k-1]`` holds c[j][k] for 1 <= j <= len(parts), 1 <= k <= s_j
+    as the integers (numerator, denominator) the kernel computes, not
+    reduced (the denominator may be negative).  ``rows`` is the same table of
+    ``Fraction``s, built when read.
     """
 
     parts: tuple[int, ...]
-    rows: tuple[tuple[Rational, ...], ...] = field(repr=False)
+    pairs: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+
+    @property
+    def rows(self) -> tuple[tuple[Rational, ...], ...]:
+        return tuple(tuple(Fraction(n, d) for n, d in row) for row in self.pairs)
 
     def first_order_sum(self) -> Rational:
         """sum_j c[j][1]; zero for every admissible index (the convergence
         constraint)."""
-        return sum((row[0] for row in self.rows), Fraction(0))
+        return Fraction(*_lcm_sum(row[0] for row in self.pairs))
 
     def reconstruct_at(self, n: Rational | int) -> Rational:
         """Evaluate sum_{j,k} c[j][k]/(n+j-1)^k at a non-pole point."""
@@ -313,11 +332,9 @@ def partial_fraction_shifted(idx: EtaIndex | Iterable[int]) -> PartialFractionTa
                 for m in range(1, order):
                     series[m] -= ratio * series[m - 1]
         # c[j][k] is the t^(s_j - k) term
-        rows.append(tuple(
-            Fraction(series[m], den * scale**m) for m in reversed(range(order))
-        ))
+        rows.append(tuple((series[m], den * scale**m) for m in reversed(range(order))))
     table = PartialFractionTable(parts, tuple(rows))
-    if table.first_order_sum() != 0:
+    if _lcm_sum(row[0] for row in rows)[0]:
         # cannot happen for weight >= 2; a failure here means a bug upstream
         raise ArithmeticError(
             f"first-order coefficients of {parts} do not cancel: {table.first_order_sum()}"
@@ -338,16 +355,23 @@ def _harmonic_prefix(n: int, power: int) -> Rational:
 @lru_cache(maxsize=None)
 def _eta_symbolic_cached(parts: tuple[int, ...]) -> ZetaExpr:
     table = partial_fraction_shifted(EtaIndex(parts))
-    constant = Fraction(0)
-    coeffs: dict[int, Fraction] = {}
-    for j, row in enumerate(table.rows, start=1):
-        constant -= row[0] * _harmonic_prefix(j - 1, 1)
-        for k in range(2, len(row) + 1):
-            c = row[k - 1]
-            if c:
-                coeffs[k] = coeffs.get(k, Fraction(0)) + c
-                constant -= c * _harmonic_prefix(j - 1, k)
-    return ZetaExpr(constant, coeffs)
+    # the constant -sum c[j][k] H_{j-1}^(k) and each zeta(k) coefficient
+    # sum_j c[j][k] are each one running-lcm sum of integer pairs
+    constant: list[tuple[int, int]] = []
+    coeffs: dict[int, list[tuple[int, int]]] = {}
+    for j, row in enumerate(table.pairs):
+        for k, (num, den) in enumerate(row, start=1):
+            if not num:
+                continue
+            if k > 1:
+                coeffs.setdefault(k, []).append((num, den))
+            if j:  # H_0 = 0
+                h = _harmonic_prefix(j, k)
+                constant.append((-num * h.numerator, den * h.denominator))
+    return ZetaExpr(
+        Fraction(*_lcm_sum(constant)),
+        {k: Fraction(*_lcm_sum(pairs)) for k, pairs in coeffs.items()},
+    )
 
 
 def eta_symbolic(idx: EtaIndex | Iterable[int]) -> ZetaExpr:

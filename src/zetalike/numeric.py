@@ -2,7 +2,10 @@
 
 Exact values are plain ``fractions.Fraction`` (aliased :data:`Rational`) or
 Python ints; both normalize eagerly and compare structurally, which is what
-every identity check in this library relies on.
+every identity check in this library relies on.  A sum of many exact terms
+goes through :func:`_lcm_sum`, which keeps one integer numerator over a
+running lcm of the denominators, so the sum builds one ``Fraction`` (one gcd)
+instead of one per term.
 
 Inexact values are :class:`ApproxReal`: an mpmath float paired with a proven
 absolute error bound.  It is a value, not an algebra: the one place bounds
@@ -32,6 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import mpmath
 
@@ -46,6 +50,20 @@ __all__ = [
     "zeta_constant",
     "zeta_pi_power_factor",
 ]
+
+
+def _lcm_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(numerator, denominator) of sum n/d over the integer pairs (n, d), d
+    nonzero: one numerator over the running lcm of the d, not reduced.  The
+    empty sum is (0, 1)."""
+    num, den = 0, 1
+    for n, d in pairs:
+        if den % d:
+            common = math.lcm(den, d)
+            num *= common // den
+            den = common
+        num += n * (den // d)
+    return num, den
 
 
 # the most Euler-Maclaurin corrections tried at one cutoff

@@ -16,6 +16,12 @@ which is what :func:`rho_exact` evaluates.  Convergence needs s_r >= 2 (so
 every suffix sum is >= 1); admissibility is checked once, at index
 construction, and nowhere else.
 
+Fixed-weight sums of rho-values (here and in ``verify``) never build a
+value per index.  |a| is fixed within such a sum, so it is (1/|a|!) sum w/P
+over the weak compositions behind the indices, with P the integer suffix
+product :func:`rho_exact` also uses; the w/P are added as integers over one
+running lcm and the sum is one ``Fraction``.
+
 :func:`rho_series_partial_at` sums the series itself, a cross-check that
 shares no code with :func:`rho_exact`.  It keeps integer numerators over one
 running common denominator, divides them by their gcd every 64 steps, and
@@ -33,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .compositions import compositions, weak_compositions
 from .errors import InadmissibleIndexError
-from .numeric import Rational
+from .numeric import Rational, _lcm_sum
 
 __all__ = [
     "RhoIndex",
@@ -105,16 +111,20 @@ def indices(
             yield tuple(c + 1 for c in comp[:-1]) + (comp[-1] + last,)
 
 
-def rho_exact(idx: RhoIndex | Iterable[int]) -> Rational:
-    """Exact value 1/(|a|! * prod of suffix sums of a)."""
-    idx = RhoIndex.coerce(idx)
-    a = idx.alpha
-    prod = 1
-    suffix = 0
+def _suffix_product(a: Sequence[int], shift: int = 0) -> int:
+    """prod over k of (shift + a_k + ... + a_r), the suffix sums of a, each
+    raised by ``shift``."""
+    prod, suffix = 1, shift
     for ak in reversed(a):
         suffix += ak
         prod *= suffix
-    return Fraction(1, math.factorial(sum(a)) * prod)
+    return prod
+
+
+def rho_exact(idx: RhoIndex | Iterable[int]) -> Rational:
+    """Exact value 1/(|a|! * prod of suffix sums of a)."""
+    a = RhoIndex.coerce(idx).alpha
+    return Fraction(1, math.factorial(sum(a)) * _suffix_product(a))
 
 
 def rho_series_partial_at(
@@ -173,16 +183,10 @@ def suffix_balance_sum(q: int, n: int) -> Rational:
     """
     if q < 0 or n < 0:
         raise ValueError(f"need q, n >= 0, got ({q}, {n})")
-    total = Fraction(0)
-    for comp in weak_compositions(n, q + 1):
-        denom = 1
-        suffix = comp[-1]
-        # running suffix sums a_j + ... + a_{q+1} for j = q down to 1
-        for j in range(q - 1, -1, -1):
-            suffix += comp[j]
-            denom *= suffix + 1
-        total += Fraction(1, denom)
-    return total
+    # the j-th factor is a suffix sum of (a_1, ..., a_q) raised by a_{q+1} + 1
+    return Fraction(*_lcm_sum(
+        (1, _suffix_product(a[:-1], a[-1] + 1)) for a in weak_compositions(n, q + 1)
+    ))
 
 
 # --------------------------------------------------------------------------

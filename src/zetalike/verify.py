@@ -18,6 +18,7 @@ from typing import Callable, Iterable, NamedTuple, Union
 import mpmath
 import numpy as np
 
+from .compositions import weak_compositions
 from .errors import FixtureError, ZetalikeError
 from .eta import (
     ZetaExpr,
@@ -26,9 +27,9 @@ from .eta import (
     eta_symbolic,
 )
 from .harmonic import bell_polynomial, harmonic, harmonic_vector, mzv_star_truncated
-from .numeric import ApproxReal, Rational
+from .numeric import ApproxReal, Rational, _lcm_sum
 from .quadrature import integrate_unit_square
-from .rho import indices, rho_exact, suffix_balance_sum
+from .rho import _suffix_product, indices, rho_exact, suffix_balance_sum
 from . import tables
 
 Value = Union[Rational, ZetaExpr, ApproxReal]
@@ -102,11 +103,26 @@ def _exact(lhs, rhs, details=None) -> tuple:
 # --------------------------------------------------------------------------
 
 def _eta_sum(idxs: Iterable[tuple[int, ...]]) -> ZetaExpr:
-    return sum(map(eta_symbolic, idxs), ZetaExpr(0))
+    # one running-lcm sum per key: the constant (key 0) and each zeta(k)
+    terms: dict[int, list[tuple[int, int]]] = {}
+    for value in map(eta_symbolic, idxs):
+        for k, c in ((0, value.constant), *value.coeffs.items()):
+            terms.setdefault(k, []).append((c.numerator, c.denominator))
+    sums = {k: Fraction(*_lcm_sum(pairs)) for k, pairs in terms.items()}
+    return ZetaExpr(sums.pop(0, 0), sums)
 
 
 def _rho_sum(weight: int, depth: int, last: int = 2) -> Rational:
-    return sum(map(rho_exact, indices(weight, depth, last)), Fraction(0))
+    # indices(weight, depth, last) has a = c + (0, ..., 0, last - 1) for the
+    # weak compositions c of its free weight, so |a| = weight - depth and
+    # rho = 1/(|a|! P) with P the suffix product of c raised by last - 1
+    free = weight - depth - last + 1
+    if free < 0:
+        return Fraction(0)
+    num, den = _lcm_sum(
+        (1, _suffix_product(c, last - 1)) for c in weak_compositions(free, depth)
+    )
+    return Fraction(num, den * math.factorial(weight - depth))
 
 
 def _split_eta_sum(n: int, q: int, last: int, ones: int) -> ZetaExpr:
@@ -146,9 +162,11 @@ def _rho_weighted_sum(n: int, q: int) -> tuple:
     """
     if n < 0 or q < 0:
         raise ValueError(f"need n, q >= 0, got ({n}, {q})")
-    lhs = Fraction(0)
-    for s in indices(n + q + 2, q + 1, 2):
-        lhs += (s[-1] - 1) * rho_exact(s)
+    # as in _rho_sum with last = 2: |a| = n + 1, and the weight is c_{q+1} + 1
+    num, den = _lcm_sum(
+        (c[-1] + 1, _suffix_product(c, 1)) for c in weak_compositions(n, q + 1)
+    )
+    lhs = Fraction(num, den * math.factorial(n + 1))
     return _exact(lhs, Fraction(1, math.factorial(n + 1)))
 
 

@@ -16,7 +16,15 @@ from math import ceil, comb, factorial, log10
 import mpmath
 import pytest
 
-from zetalike import ToleranceError, zeta_constant
+from zetalike import (
+    ToleranceError,
+    ZetaExpr,
+    eta_symbolic,
+    harmonic,
+    partial_fraction_shifted,
+    zeta_constant,
+)
+from zetalike.rho import indices
 
 
 def rising_int(x: int, m: int) -> int:
@@ -58,6 +66,102 @@ def fraction_rho_partial(parts: tuple[int, ...], checkpoints) -> dict[int, Fract
         if t in checkpoints:
             out[t] = state[-1]
     return out
+
+
+def fraction_rho(parts: tuple[int, ...]) -> Fraction:
+    """rho(parts) = 1/(|a|! prod of the suffix sums of a), a_j = s_j - 1."""
+    a = [p - 1 for p in parts]
+    prod = 1
+    for suffix in itertools.accumulate(reversed(a)):
+        prod *= suffix
+    return Fraction(1, factorial(sum(a)) * prod)
+
+
+def fraction_rho_sum(weight: int, depth: int, last: int) -> Fraction:
+    """Sum of rho over the indices of the weight and depth with last entry
+    >= ``last``, one ``Fraction`` per index."""
+    return sum(map(fraction_rho, indices(weight, depth, last)), Fraction(0))
+
+
+def fraction_rho_weighted_lhs(n: int, q: int) -> Fraction:
+    """sum_{|a|=n} (a_{q+1}+1) rho(a_1+1, ..., a_q+1, a_{q+1}+2), one
+    ``Fraction`` per index."""
+    total = Fraction(0)
+    for s in indices(n + q + 2, q + 1, 2):
+        total += (s[-1] - 1) * fraction_rho(s)
+    return total
+
+
+def fraction_suffix_balance(q: int, n: int) -> Fraction:
+    """sum over a_1+...+a_{q+1} = n of 1/prod_{j=1..q}(a_j+...+a_{q+1}+1),
+    one ``Fraction`` per composition."""
+    total = Fraction(0)
+    for comp in recursive_weak_compositions(n, q + 1):
+        denom = 1
+        suffix = comp[-1]
+        for j in range(q - 1, -1, -1):
+            suffix += comp[j]
+            denom *= suffix + 1
+        total += Fraction(1, denom)
+    return total
+
+
+def fraction_eta_assembly(parts: tuple[int, ...]) -> ZetaExpr:
+    """eta(parts) from the kernel's ``Fraction`` rows, cell by cell: c[j][k]
+    adds to the zeta(k) coefficient (k >= 2) and -c[j][k] H_{j-1}^(k) to the
+    constant."""
+    constant = Fraction(0)
+    coeffs: dict[int, Fraction] = {}
+    for j, row in enumerate(partial_fraction_shifted(parts).rows, start=1):
+        constant -= row[0] * harmonic(j - 1, 1)
+        for k in range(2, len(row) + 1):
+            c = row[k - 1]
+            if c:
+                coeffs[k] = coeffs.get(k, Fraction(0)) + c
+                constant -= c * harmonic(j - 1, k)
+    return ZetaExpr(constant, coeffs)
+
+
+def fraction_eta_sum(idxs) -> ZetaExpr:
+    """Sum of eta_symbolic over ``idxs`` by chained ``ZetaExpr`` addition."""
+    return sum(map(eta_symbolic, idxs), ZetaExpr(0))
+
+
+@functools.lru_cache(maxsize=None)
+def _pairwise_fractions(factors: tuple[tuple[int, int], ...]) -> tuple:
+    """Partial fractions of prod 1/(n+o)^p over ``factors``, (offset o,
+    power p >= 1) pairs with distinct offsets in ascending order, as
+    ((o, k), c) for the terms c/(n+o)^k.
+
+    The first two factors (a, p), (b, q) are reduced by
+    1/((n+a)(n+b)) = (1/(b-a)) (1/(n+a) - 1/(n+b)), which leaves two
+    products, each of one lower total power.
+    """
+    if len(factors) == 1:
+        return ((factors[0], Fraction(1)),)
+    (a, p), (b, q), rest = factors[0], factors[1], factors[2:]
+    out: dict[tuple[int, int], Fraction] = {}
+    for sign, pair in ((1, ((a, p), (b, q - 1))), (-1, ((a, p - 1), (b, q)))):
+        for key, c in _pairwise_fractions(tuple(f for f in pair if f[1]) + rest):
+            out[key] = out.get(key, Fraction(0)) + Fraction(sign, b - a) * c
+    return tuple(sorted((key, c) for key, c in out.items() if c))
+
+
+def pairwise_eta(parts: tuple[int, ...]) -> ZetaExpr:
+    """eta(parts) by pairwise reduction of prod_j (n+j-1)^(-s_j): over
+    n >= 1, c/(n+o)^k sums to c (zeta(k) - H_o^(k)) for k >= 2, and the k = 1
+    terms, whose coefficients add up to 0, to -sum c H_o."""
+    constant = Fraction(0)
+    coeffs: dict[int, Fraction] = {}
+    first_order = Fraction(0)
+    for (o, k), c in _pairwise_fractions(tuple(enumerate(parts))):
+        if k == 1:
+            first_order += c
+        else:
+            coeffs[k] = coeffs.get(k, Fraction(0)) + c
+        constant -= c * sum((Fraction(1, m**k) for m in range(1, o + 1)), Fraction(0))
+    assert first_order == 0, parts
+    return ZetaExpr(constant, coeffs)
 
 
 def recursive_weak_compositions(n: int, k: int):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import sys
 
 import pytest
@@ -92,6 +94,44 @@ class TestEtaCommand:
         obj = json.loads(out)
         assert obj["index"] == [1, 1, 1]
         assert "value" in obj["value"] and "error_bound" in obj["value"]
+
+    @pytest.fixture
+    def digit_limit_640(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_oversized_value_is_usage_error(self, capsys, digit_limit_640, fmt):
+        code, out, err = run_capture(capsys, ["eta", ",".join(["1"] * 400), "--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "more than 640 digits" in err
+
+    def test_refusal_starts_where_printing_fails(self, capsys, digit_limit_640):
+        # eta({1}^320) = 1/(319 * 319!), a denominator of `digits` digits: it
+        # prints at that limit and is refused one digit below
+        den = 319 * math.factorial(319)
+        digits = next(n for n in itertools.count(1) if den < 10**n)
+        sys.set_int_max_str_digits(digits - 1)
+        code, out, _ = run_capture(capsys, ["eta", ",".join(["1"] * 320)])
+        assert (code, out) == (2, "")
+        sys.set_int_max_str_digits(digits)
+        code, out, _ = run_capture(capsys, ["eta", ",".join(["1"] * 320)])
+        assert (code, out) == (0, f"1/{den}\n")
+
+    def test_pi_render_is_checked_as_printed(self, capsys, digit_limit_640):
+        # zeta(400) prints, but its pi^400 coefficient has a 759-digit
+        # denominator; that of pi^300 has 538 digits
+        code, out, _ = run_capture(capsys, ["eta", "400"])
+        assert (code, out) == (0, "zeta(400)\n")
+        code, out, err = run_capture(capsys, ["eta", "400", "--render", "pi"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        code, out, _ = run_capture(capsys, ["eta", "300", "--render", "pi"])
+        assert code == 0 and "*pi^300/" in out
 
     def test_divergent_index(self, capsys):
         code, _, err = run_capture(capsys, ["eta", "1"])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import algebra_zeta_numeric
+import zetalike.eta
+from conftest import algebra_zeta_numeric, fraction_eta_assembly, pairwise_eta
 from zetalike import (
     EtaIndex,
     InadmissibleIndexError,
@@ -186,6 +187,40 @@ class TestEtaSymbolic:
         for parts in [(2, 3), (1, 1, 4), (3, 1, 2), (1, 1, 1, 1, 2)]:
             expr = eta_symbolic(parts)
             assert all(k <= sum(parts) for k in expr.coeffs)
+
+    def test_assembly_matches_fraction_reference(self):
+        for weight in range(2, 12):
+            for parts in compositions(weight):
+                got = eta_symbolic(parts)
+                assert type(got.constant) is Fraction
+                assert all(type(c) is Fraction for c in got.coeffs.values())
+                assert got == fraction_eta_assembly(parts), parts
+
+    def test_pairwise_reduction_agrees(self):
+        """A second exact path that shares no code with the kernel."""
+        shapes = [c for w in range(2, 11) for c in compositions(w)]
+        assert len(shapes) == 1022
+        for parts in shapes:
+            assert eta_symbolic(parts) == pairwise_eta(parts), parts
+
+    def test_kernel_runs_once_per_distinct_index(self, monkeypatch):
+        calls = []
+        kernel = zetalike.eta.partial_fraction_shifted
+
+        def counting(idx):
+            calls.append(tuple(EtaIndex.coerce(idx).parts))
+            return kernel(idx)
+
+        monkeypatch.setattr(zetalike.eta, "partial_fraction_shifted", counting)
+        zetalike.eta._eta_symbolic_cached.cache_clear()
+        distinct = [c for w in range(2, 7) for c in compositions(w)]
+        for parts in distinct:
+            eta_symbolic(parts)
+        assert calls == distinct
+        for parts in distinct:
+            eta_symbolic(list(parts))
+            eta_symbolic(EtaIndex(parts))
+        assert calls == distinct
 
 
 class TestEtaNumeric:

@@ -19,7 +19,8 @@ from zetalike import (
 )
 import zetalike.rho
 from zetalike.rho import indices
-from conftest import brute_rho_partial, fraction_rho_partial
+from conftest import brute_rho_partial, fraction_rho_partial, fraction_suffix_balance
+from zetalike.verify import CHECKS
 
 
 class TestIndices:
@@ -234,6 +235,14 @@ class TestSumFormulas:
         for q in range(5):
             for n in range(7):
                 assert suffix_balance_sum(q, n) == 1
+
+    def test_suffix_balance_matches_fraction_reference(self):
+        grid = CHECKS["suffix-balance"].grid
+        for q in range(max(p["q"] for p in grid) + 2):
+            for n in range(max(p["n"] for p in grid) + 2):
+                got = suffix_balance_sum(q, n)
+                assert type(got) is Fraction
+                assert got == fraction_suffix_balance(q, n), (q, n)
 
 
 class TestClosedFamilies:

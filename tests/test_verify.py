@@ -12,7 +12,10 @@ from zetalike import (
     run_suite,
     zeta_constant,
 )
+from conftest import fraction_eta_sum, fraction_rho_sum, fraction_rho_weighted_lhs
+from zetalike import verify
 from zetalike.errors import FixtureError
+from zetalike.rho import indices
 from zetalike.verify import CHECKS
 
 
@@ -35,6 +38,35 @@ class TestRhoEtaConnection:
         for q in range(4):
             for r in range(4):
                 assert run_check("rho-eta-connection", q=q, r=r).passed
+
+
+class TestFractionReferences:
+    """The integer sums equal the per-term ``Fraction`` loops they replace."""
+
+    def test_rho_sums(self):
+        for weight in range(2, 14):
+            for depth in range(1, weight + 1):
+                for last in range(2, 7):
+                    got = verify._rho_sum(weight, depth, last)
+                    assert type(got) is Fraction
+                    assert got == fraction_rho_sum(weight, depth, last), (weight, depth, last)
+
+    def test_weighted_lhs_one_step_past_the_grid(self):
+        grid = CHECKS["rho-weighted-sum"].grid
+        for n in range(max(p["n"] for p in grid) + 2):
+            for q in range(max(p["q"] for p in grid) + 2):
+                lhs = verify._rho_weighted_sum(n, q)[0]
+                assert type(lhs) is Fraction
+                assert lhs == fraction_rho_weighted_lhs(n, q), (n, q)
+
+    def test_eta_sums(self):
+        for weight in range(2, 11):
+            for depth in range(1, weight + 1):
+                got = verify._eta_sum(indices(weight, depth))
+                assert got == fraction_eta_sum(indices(weight, depth)), (weight, depth)
+                assert type(got.constant) is Fraction
+                assert all(type(c) is Fraction for c in got.coeffs.values())
+        assert verify._eta_sum([]) == ZetaExpr(0)
 
 
 class TestHookSum:
