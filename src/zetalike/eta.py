@@ -32,11 +32,12 @@ checked on the integer numerator of sum_j c[j][1].
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import Iterable, Mapping
 
 import mpmath
@@ -347,9 +348,11 @@ def partial_fraction_shifted(idx: EtaIndex | Iterable[int]) -> PartialFractionTa
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _harmonic_prefix(n: int, power: int) -> Rational:
-    # H_n^(power), shared by every index: an eta-value of depth r reads n < r
-    return harmonic(n, power)
+def _harmonic_prefixes(n: int, power: int) -> tuple[Rational, ...]:
+    # (H_0^(power), ..., H_n^(power)) in one pass, shared by every index of
+    # depth n + 1, which reads H_j for j <= n
+    return tuple(itertools.accumulate(
+        (Fraction(1, k**power) for k in range(1, n + 1)), initial=Fraction(0)))
 
 
 @lru_cache(maxsize=None)
@@ -366,7 +369,7 @@ def _eta_symbolic_cached(parts: tuple[int, ...]) -> ZetaExpr:
             if k > 1:
                 coeffs.setdefault(k, []).append((num, den))
             if j:  # H_0 = 0
-                h = _harmonic_prefix(j, k)
+                h = _harmonic_prefixes(len(parts) - 1, k)[j]
                 constant.append((-num * h.numerator, den * h.denominator))
     return ZetaExpr(
         Fraction(*_lcm_sum(constant)),
@@ -397,16 +400,21 @@ def eta_numeric(
     mode="fast" evaluates :func:`eta_symbolic` with certified zeta constants.
 
     The oracle refuses tolerances below 1e-12 and term counts above 10**7.
+    The factors are streamed one column per j, the pows (n+j-1)^(-s_j) for
+    n = 1..N, and each term is the product of its r = depth factors taken
+    left to right; ``math.fsum`` adds the terms as they come.
+
     Its error_bound is tail + slack.  Summands past N are at most n^-w, so
     the tail is at most N^(1-w)/(w-1).  The slack (2r+4) * 2.3e-16 *
-    (total+1), r = depth, assumes ``math.fsum`` rounds correctly and libm
-    ``pow`` is within 1 ulp.  With u = 2^-53: each (n+j-1)^(-s_j), a pow of
-    an exact integer, is off by at most 2u of itself, and their product adds
-    r-1 roundings of u, so each term is off by under 3.01 r u of itself.  The
-    terms are positive and fsum rounds once more, so |total - sum| < 3.02 r u
-    (total+1) < 3.4e-16 r (total+1); the rest covers rounding ``tail`` and
-    ``tail + slack``.  The 1e-300 covers underflowed terms, where relative
-    error fails: at most 10**7 terms, each off by about r * 2^-1074.
+    (total+1) assumes ``math.fsum`` rounds correctly and libm ``pow`` is
+    within 1 ulp.  With u = 2^-53: each (n+j-1)^(-s_j), a pow of an exact
+    integer, is off by at most 2u of itself, and the left-to-right product
+    adds r-1 roundings of u, so each term is off by under 3.01 r u of itself.
+    The terms are positive and fsum rounds once more, so |total - sum| <
+    3.02 r u (total+1) < 3.4e-16 r (total+1); the rest covers rounding
+    ``tail`` and ``tail + slack``.  The 1e-300 covers underflowed terms,
+    where relative error fails: at most 10**7 terms, each off by about
+    r * 2^-1074.
     """
     idx = EtaIndex.coerce(idx)
     if not (math.isfinite(tolerance) and tolerance > 0):
@@ -430,11 +438,9 @@ def eta_numeric(
         raise ToleranceError(
             f"oracle for {idx} at {tolerance} needs {n_terms} terms (cap {_ORACLE_CAP})"
         )
-    exponents = list(enumerate(idx.parts))  # (offset, power)
-    total = math.fsum(
-        math.prod((n + off) ** -s for off, s in exponents)
-        for n in range(1, n_terms + 1)
-    )
+    columns = [map(pow, range(1 + off, n_terms + 1 + off), itertools.repeat(-s))
+               for off, s in enumerate(idx.parts)]
+    total = math.fsum(reduce(partial(map, operator.mul), columns))
     tail = n_terms ** (1 - w) / (w - 1)
     # float rounding: each term is a product of <= depth powers, all <= 1
     slack = (2 * idx.depth + 4) * 2.3e-16 * (total + 1) + 1e-300

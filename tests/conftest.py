@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import ceil, comb, factorial, log10
+from math import ceil, comb, factorial, fsum, log10, prod
 
 import mpmath
 import pytest
@@ -125,6 +125,16 @@ def fraction_eta_assembly(parts: tuple[int, ...]) -> ZetaExpr:
 def fraction_eta_sum(idxs) -> ZetaExpr:
     """Sum of eta_symbolic over ``idxs`` by chained ``ZetaExpr`` addition."""
     return sum(map(eta_symbolic, idxs), ZetaExpr(0))
+
+
+def float_eta_oracle(parts: tuple[int, ...], n_terms: int) -> float:
+    """The eta series to ``n_terms`` terms by a per-term generator: each term
+    is the ``prod`` of its (n+j-1)^(-s_j), and ``fsum`` adds the terms."""
+    exponents = list(enumerate(parts))  # (offset, power)
+    return fsum(
+        prod((n + off) ** -s for off, s in exponents)
+        for n in range(1, n_terms + 1)
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetalike.eta
-from conftest import algebra_zeta_numeric, fraction_eta_assembly, pairwise_eta
+from conftest import algebra_zeta_numeric, float_eta_oracle, fraction_eta_assembly, pairwise_eta
 from zetalike import (
     EtaIndex,
     InadmissibleIndexError,
@@ -18,6 +20,7 @@ from zetalike import (
     eta_numeric,
     eta_restricted_triple_sum,
     eta_symbolic,
+    harmonic,
     partial_fraction_shifted,
     weak_compositions,
 )
@@ -203,6 +206,20 @@ class TestEtaSymbolic:
         for parts in shapes:
             assert eta_symbolic(parts) == pairwise_eta(parts), parts
 
+    def test_harmonic_prefixes_match_harmonic(self):
+        for k in range(1, 7):
+            for n in range(41):
+                prefixes = zetalike.eta._harmonic_prefixes(n, k)
+                assert all(type(h) is Fraction for h in prefixes)
+                assert prefixes == tuple(harmonic(j, k) for j in range(n + 1)), (n, k)
+
+    def test_harmonic_prefixes_do_not_recurse(self):
+        n = sys.getrecursionlimit() + 200
+        zetalike.eta._harmonic_prefixes.cache_clear()
+        prefixes = zetalike.eta._harmonic_prefixes(n, 3)
+        assert len(prefixes) == n + 1
+        assert prefixes[-1] == harmonic(n, 3)
+
     def test_kernel_runs_once_per_distinct_index(self, monkeypatch):
         calls = []
         kernel = zetalike.eta.partial_fraction_shifted
@@ -240,11 +257,51 @@ class TestEtaNumeric:
         assert val.error_bound <= 1e-10
 
     def test_oracle_agrees_with_symbolic(self):
-        for parts in [(1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 1, 2), (3, 1)]:
-            oracle = eta_numeric(parts, "oracle", 1e-5)
-            fast = eta_symbolic(parts).numeric(12)
-            # equal at tolerance tol: |a - b| <= tol + e_a + e_b
-            assert abs(oracle.value - fast.value) <= 1e-5 + oracle.error_bound + fast.error_bound
+        # every index of weight 2..7, each at most about 2 * 10^6 terms
+        shapes = [c for w in range(2, 8) for c in compositions(w)]
+        assert len(shapes) == 126
+        for parts in shapes:
+            oracle = eta_numeric(parts, "oracle", 1e-6 if sum(parts) == 2 else 1e-9)
+            exact = eta_symbolic(parts).numeric(30)
+            # both bounds are certified, so they must cover the gap
+            assert abs(oracle.value - exact.value) <= oracle.error_bound + exact.error_bound, parts
+
+    def test_oracle_matches_float_reference(self):
+        # tolerance 2 / ((w-1) N^(w-1)), nudged up, makes the oracle sum N terms
+        checked = 0
+        for parts in (c for w in range(2, 7) for c in compositions(w)):
+            w, r = sum(parts), len(parts)
+            for n in sorted({1, 2, r, 997, 10**5}):
+                tolerance = 2.0 / ((w - 1) * n ** (w - 1)) * (1 + 1e-9)
+                if tolerance < 1e-12:  # refused, see test_oracle_rejects_sub_picotolerance
+                    continue
+                got = eta_numeric(parts, "oracle", tolerance)
+                total = float_eta_oracle(parts, n)
+                assert float(got.value).hex() == total.hex(), (parts, n)
+                tail = n ** (1 - w) / (w - 1)
+                slack = (2 * r + 4) * 2.3e-16 * (total + 1) + 1e-300
+                assert (got.error_bound, got.dps) == (tail + slack, 17), (parts, n)
+                checked += 1
+        assert checked == 186
+
+    def test_oracle_shares_no_code_with_the_symbolic_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the series oracle called the symbolic reduction")
+
+        for name in ("partial_fraction_shifted", "_eta_symbolic_cached", "zeta_constant"):
+            monkeypatch.setattr(zetalike.eta, name, refuse)
+        got = eta_numeric((2, 1, 3), "oracle", 1e-9)
+        assert got.error_bound <= 1e-9
+
+    def test_oracle_streams_its_terms(self):
+        # 10^5 terms of (1, 1, 1): a list of the terms alone would take 800 KB
+        tracemalloc.start()
+        try:
+            eta_numeric((1, 1, 1), "oracle", 1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(idx=st.integers(2, 10).flatmap(lambda w: st.sampled_from(tuple(indices(w)))),
