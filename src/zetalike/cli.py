@@ -33,6 +33,9 @@ MAX_TABLE_WEIGHT = 12
 # zeta_constant slows sharply past a few hundred digits, and 10.0**-digits
 # underflows to 0.0 from 324 on
 MAX_DIGITS = 300
+# eta of weight 10,000 takes about 0.4 s in either mode; far larger weights
+# run for minutes or end in OverflowError or MemoryError
+MAX_ETA_WEIGHT = 10_000
 
 
 def _parse_index(text: str) -> tuple[int, ...]:
@@ -96,6 +99,9 @@ def _cmd_rho(args) -> tuple[int, str]:
 def _cmd_eta(args) -> tuple[int, str]:
     if not 1 <= args.digits <= MAX_DIGITS:
         raise ZetalikeError(f"--digits must be in 1..{MAX_DIGITS}, got {args.digits}")
+    weight = sum(args.index)
+    if weight > MAX_ETA_WEIGHT:
+        raise ZetalikeError(f"eta weight must be at most {MAX_ETA_WEIGHT}, got {weight}")
     if args.mode == "symbolic":
         value = eta_symbolic(args.index)
         # json prints the zeta-style coefficients whatever --render says
@@ -104,7 +110,7 @@ def _cmd_eta(args) -> tuple[int, str]:
         if limit and any(max(abs(c.numerator), c.denominator) >= 10**limit
                          for c, _ in value.pieces(style)):
             raise ZetalikeError(
-                f"eta-value of weight {sum(args.index)} and depth {len(args.index)} "
+                f"eta-value of weight {weight} and depth {len(args.index)} "
                 f"has a number of more than {limit} digits, too long to print"
             )
         text = value.render(style)

@@ -28,6 +28,11 @@ are each one sum of integer pairs over a running lcm (the constant's terms
 take the numerator and denominator of the cached H_{j-1}^(k)), so the value
 costs one ``Fraction`` per coefficient.  The first-order cancellation is
 checked on the integer numerator of sum_j c[j][1].
+
+:class:`ZetaExpr` is a value, not an algebra.  Values are added only by
+``ZetaExpr.sum`` over (integer weight, value) pairs, which shares that
+per-key step with the eta assembly; every eta-sum and every discrepancy the
+verification suites report is one such sum.
 """
 
 from __future__ import annotations
@@ -103,8 +108,8 @@ class ZetaExpr:
     """A formal Q-linear combination  constant + sum_{k>=2} coeffs[k] zeta(k).
 
     Zero coefficients are never stored, so equality and hashing are
-    structural.  Addition, subtraction and scaling by exact rationals are
-    componentwise.
+    structural.  It is a value, not an algebra: :meth:`sum` is the one way
+    values are added.
     """
 
     __slots__ = ("constant", "_items")
@@ -135,29 +140,6 @@ class ZetaExpr:
     def is_zero(self) -> bool:
         return not self._items and self.constant == 0
 
-    # ---- algebra ----
-
-    def __add__(self, other) -> "ZetaExpr":
-        other = ZetaExpr.coerce(other)
-        co = dict(self._items)
-        for k, c in other._items:
-            co[k] = co.get(k, Fraction(0)) + c
-        return ZetaExpr(self.constant + other.constant, co)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ZetaExpr":
-        return ZetaExpr(-self.constant, {k: -c for k, c in self._items})
-
-    def __sub__(self, other) -> "ZetaExpr":
-        return self + (-ZetaExpr.coerce(other))
-
-    def __mul__(self, scalar) -> "ZetaExpr":
-        scalar = Fraction(scalar)
-        return ZetaExpr(self.constant * scalar, {k: c * scalar for k, c in self._items})
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ZetaExpr(other)
@@ -169,12 +151,17 @@ class ZetaExpr:
         return hash((self.constant, self._items))
 
     @classmethod
-    def coerce(cls, x) -> "ZetaExpr":
-        if isinstance(x, ZetaExpr):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to ZetaExpr")
+    def sum(cls, terms: Iterable[tuple[int, "ZetaExpr | Rational | int"]]) -> "ZetaExpr":
+        """sum weight * value over (integer weight, value) pairs, a value being
+        a ZetaExpr, Fraction or int.  The constant and each zeta(k)
+        coefficient are each one running-lcm sum, so the result costs one
+        ``Fraction`` per key; the empty sum is ZetaExpr(0)."""
+        pairs: dict[int, list[tuple[int, int]]] = {}
+        for weight, value in terms:
+            items = ((0, value.constant), *value._items) if isinstance(value, cls) else ((0, value),)
+            for k, c in items:
+                pairs.setdefault(k, []).append((weight * c.numerator, c.denominator))
+        return _from_pairs(pairs)
 
     # ---- evaluation / rendering ----
 
@@ -276,6 +263,12 @@ class ZetaExpr:
         }
 
 
+def _from_pairs(pairs: Mapping[int, list[tuple[int, int]]]) -> ZetaExpr:
+    # key 0 holds the constant's integer pairs, key k >= 2 those of zeta(k)
+    sums = {k: Fraction(*_lcm_sum(terms)) for k, terms in pairs.items()}
+    return ZetaExpr(sums.pop(0, 0), sums)
+
+
 # --------------------------------------------------------------------------
 # Shifted partial fractions
 # --------------------------------------------------------------------------
@@ -358,23 +351,19 @@ def _harmonic_prefixes(n: int, power: int) -> tuple[Rational, ...]:
 @lru_cache(maxsize=None)
 def _eta_symbolic_cached(parts: tuple[int, ...]) -> ZetaExpr:
     table = partial_fraction_shifted(EtaIndex(parts))
-    # the constant -sum c[j][k] H_{j-1}^(k) and each zeta(k) coefficient
-    # sum_j c[j][k] are each one running-lcm sum of integer pairs
-    constant: list[tuple[int, int]] = []
-    coeffs: dict[int, list[tuple[int, int]]] = {}
+    # the constant -sum c[j][k] H_{j-1}^(k) (key 0) and each zeta(k)
+    # coefficient sum_j c[j][k] (key k) as integer pairs
+    pairs: dict[int, list[tuple[int, int]]] = {}
     for j, row in enumerate(table.pairs):
         for k, (num, den) in enumerate(row, start=1):
             if not num:
                 continue
             if k > 1:
-                coeffs.setdefault(k, []).append((num, den))
+                pairs.setdefault(k, []).append((num, den))
             if j:  # H_0 = 0
                 h = _harmonic_prefixes(len(parts) - 1, k)[j]
-                constant.append((-num * h.numerator, den * h.denominator))
-    return ZetaExpr(
-        Fraction(*_lcm_sum(constant)),
-        {k: Fraction(*_lcm_sum(pairs)) for k, pairs in coeffs.items()},
-    )
+                pairs.setdefault(0, []).append((-num * h.numerator, den * h.denominator))
+    return _from_pairs(pairs)
 
 
 def eta_symbolic(idx: EtaIndex | Iterable[int]) -> ZetaExpr:
@@ -464,11 +453,7 @@ def eta_hook_closed_form(p: int, a: int) -> ZetaExpr:
         raise InadmissibleIndexError(f"hook form needs p >= 2, got {p}")
     if a < 0:
         raise ValueError(f"need a >= 0, got {a}")
-    coeffs: dict[int, Fraction] = {}
-    for k in range(0, p - 1):
-        c = Fraction((-1) ** k) * bell_polynomial(k, harmonic_vector(a, k))
-        if c:
-            coeffs[p - k] = coeffs.get(p - k, Fraction(0)) + c
+    coeffs = {p - k: (-1) ** k * bell_polynomial(k, harmonic_vector(a, k)) for k in range(p - 1)}
     constant = Fraction(0)
     for k in range(0, a):
         constant += (
@@ -493,11 +478,5 @@ def eta_restricted_triple_sum(q: int) -> ZetaExpr:
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     constant = Fraction((-1) ** (q + 1)) + Fraction(1, 2) + Fraction((-1) ** q * 3, 2 ** (q + 2))
-    coeffs: dict[int, Fraction] = {}
-    for k in range(q):
-        arg = q + 1 - k
-        if arg < 2:  # unreachable for q >= 1; guards the formula's domain
-            raise ArithmeticError(f"triple-sum formula produced zeta({arg}) at q={q}")
-        c = Fraction((-1) ** (k + 1)) * (1 - Fraction(1, 2 ** (k + 1)))
-        coeffs[arg] = coeffs.get(arg, Fraction(0)) + c
+    coeffs = {q + 1 - k: (-1) ** (k + 1) * (1 - Fraction(1, 2 ** (k + 1))) for k in range(q)}
     return ZetaExpr(constant, coeffs)

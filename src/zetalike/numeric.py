@@ -192,11 +192,7 @@ def zeta_constant(k: int, digits: int) -> ApproxReal:
     dps = digits + 10
     with mpmath.mp.workdps(dps + 8):
         v = mpmath.mpf(val.numerator) / mpmath.mpf(val.denominator)
-        cert_f = (
-            mpmath.mpf(cert.numerator) / mpmath.mpf(cert.denominator)
-            if cert
-            else mpmath.mpf(0)
-        )
+        cert_f = mpmath.mpf(cert.numerator) / mpmath.mpf(cert.denominator)
         bound = cert_f * (1 + mpmath.mpf(10) ** (-6)) + _slack(dps, v)
         if bound > mpmath.mpf(10) ** (-digits):
             raise ToleranceError(f"zeta({k}) bound {bound} exceeds 10**-{digits}")

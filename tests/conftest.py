@@ -122,9 +122,25 @@ def fraction_eta_assembly(parts: tuple[int, ...]) -> ZetaExpr:
     return ZetaExpr(constant, coeffs)
 
 
+def componentwise_sum(terms) -> ZetaExpr:
+    """sum weight * value over (weight, value) pairs, a value being a
+    ``ZetaExpr``, ``Fraction`` or int, by componentwise addition: each term
+    adds to the constant and to each zeta(k) coefficient, one ``Fraction``
+    per step."""
+    constant = Fraction(0)
+    coeffs: dict[int, Fraction] = {}
+    for weight, value in terms:
+        if not isinstance(value, ZetaExpr):
+            value = ZetaExpr(value)
+        constant += weight * value.constant
+        for k, c in value.coeffs.items():
+            coeffs[k] = coeffs.get(k, Fraction(0)) + weight * c
+    return ZetaExpr(constant, coeffs)
+
+
 def fraction_eta_sum(idxs) -> ZetaExpr:
-    """Sum of eta_symbolic over ``idxs`` by chained ``ZetaExpr`` addition."""
-    return sum(map(eta_symbolic, idxs), ZetaExpr(0))
+    """Sum of eta_symbolic over ``idxs`` by :func:`componentwise_sum`."""
+    return componentwise_sum((1, eta_symbolic(idx)) for idx in idxs)
 
 
 def float_eta_oracle(parts: tuple[int, ...], n_terms: int) -> float:

@@ -107,9 +107,7 @@ def test_criterion_06_hook_sum_grid(capsys):
             assert run_check("eta-hook-sum", n=n, q=q).passed, (n, q)
     # printed q=0 specialization: sum over splits of eta({1}^r, 2, {1}^s)
     for n in range(1, 6):
-        total = ZetaExpr(0)
-        for r in range(n + 1):
-            total = total + eta_symbolic((1,) * r + (2,) + (1,) * (n - r))
+        total = ZetaExpr.sum((1, eta_symbolic((1,) * r + (2,) + (1,) * (n - r))) for r in range(n + 1))
         assert total == ZetaExpr(harmonic(n) / (n * factorial(n))), n
     with capsys.disabled():
         _report(6, time.time() - t0, 60.0, "20 cells n<=5 q<=3 plus the harmonic specialization")
@@ -124,9 +122,7 @@ def test_criterion_07_weighted_corollaries(capsys):
     for q in range(7):
         assert run_check("e38", q=q).passed, q
     for q in range(1, 7):
-        direct = ZetaExpr(0)
-        for a1, a2 in weak_compositions(q, 2):
-            direct = direct + eta_symbolic((a1 + 1, a2 + 1, 1))
+        direct = ZetaExpr.sum((1, eta_symbolic((a1 + 1, a2 + 1, 1))) for a1, a2 in weak_compositions(q, 2))
         assert eta_restricted_triple_sum(q) == direct, q
     with capsys.disabled():
         _report(7, time.time() - t0, 30.0, "w121 n<=6, w122 n<=4, e38 q<=6, triple sum q<=6")

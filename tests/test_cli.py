@@ -133,6 +133,28 @@ class TestEtaCommand:
         code, out, _ = run_capture(capsys, ["eta", "300", "--render", "pi"])
         assert code == 0 and "*pi^300/" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["99999999999999999999"],
+        ["1000000000000"],
+        ["2,99999999999999999999"],
+        ["5000000", "--mode", "numeric", "--digits", "5"],
+    ])
+    def test_oversized_weight_is_usage_error(self, capsys, argv, fmt):
+        # these once ended in OverflowError or MemoryError or ran for minutes
+        code, out, err = run_capture(capsys, ["eta", *argv, "--format", fmt])
+        assert code == 2 and out == ""
+        weight = sum(map(int, argv[0].split(",")))
+        assert err == f"error: eta weight must be at most {cli.MAX_ETA_WEIGHT}, got {weight}\n"
+
+    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+    def test_weight_cap_is_inclusive(self, capsys, mode):
+        cap = cli.MAX_ETA_WEIGHT
+        code, out, _ = run_capture(capsys, ["eta", str(cap), "--mode", mode, "--digits", "5"])
+        assert code == 0 and out
+        code, out, _ = run_capture(capsys, ["eta", f"1,{cap}", "--mode", mode])
+        assert (code, out) == (2, "")
+
     def test_divergent_index(self, capsys):
         code, _, err = run_capture(capsys, ["eta", "1"])
         assert code == 2

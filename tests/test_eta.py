@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetalike.eta
-from conftest import algebra_zeta_numeric, float_eta_oracle, fraction_eta_assembly, pairwise_eta
+from conftest import (
+    algebra_zeta_numeric,
+    componentwise_sum,
+    float_eta_oracle,
+    fraction_eta_assembly,
+    pairwise_eta,
+)
 from zetalike import (
     EtaIndex,
     InadmissibleIndexError,
@@ -25,6 +31,13 @@ from zetalike import (
     weak_compositions,
 )
 from zetalike.rho import indices
+
+_FRACTIONS = st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**9)
+_VALUES = st.one_of(
+    st.integers(-10**6, 10**6),
+    _FRACTIONS,
+    st.builds(ZetaExpr, _FRACTIONS, st.dictionaries(st.integers(2, 9), _FRACTIONS, max_size=4)),
+)
 
 
 class TestEtaIndex:
@@ -52,14 +65,31 @@ class TestZetaExpr:
         assert a == b and hash(a) == hash(b)
         assert a.coeffs == {3: Fraction(2)}
 
-    def test_algebra(self):
+    def test_sum(self):
         a = ZetaExpr(1, {2: Fraction(1, 2)})
         b = ZetaExpr(Fraction(-1, 3), {2: Fraction(-1, 2), 5: 1})
-        s = a + b
-        assert s == ZetaExpr(Fraction(2, 3), {5: 1})
-        assert (a - a).is_zero()
-        assert a * 2 == ZetaExpr(2, {2: 1})
-        assert a * 0 == ZetaExpr(0)
+        assert ZetaExpr.sum([(1, a), (1, b)]) == ZetaExpr(Fraction(2, 3), {5: 1})
+        assert ZetaExpr.sum([(2, a)]) == ZetaExpr(2, {2: 1})
+        # negative weights, and full cancellation to ZetaExpr(0)
+        assert ZetaExpr.sum([(3, a), (-1, b)]) == ZetaExpr(Fraction(10, 3), {2: 2, 5: -1})
+        for terms in ([(1, a), (-1, a)], [(2, b), (-1, b), (-1, b)], [(0, a)]):
+            zero = ZetaExpr.sum(terms)
+            assert zero == ZetaExpr(0) and zero.is_zero() and zero.coeffs == {}
+        # mixed int / Fraction / ZetaExpr terms
+        mixed = ZetaExpr.sum([(1, 2), (-3, Fraction(1, 6)), (2, a)])
+        assert mixed == ZetaExpr(Fraction(7, 2), {2: 1})
+        assert ZetaExpr.sum([(1, 1), (-2, Fraction(1, 2))]) == ZetaExpr(0)
+        # the empty sum
+        assert ZetaExpr.sum([]) == ZetaExpr(0)
+        assert ZetaExpr.sum(iter(())).is_zero()
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-50, 50), _VALUES), max_size=8))
+    def test_sum_matches_componentwise_reference(self, terms):
+        got = ZetaExpr.sum(terms)
+        assert got == componentwise_sum(terms)
+        assert type(got.constant) is Fraction
+        assert all(type(c) is Fraction and c for c in got.coeffs.values())
 
     def test_rejects_bad_keys(self):
         with pytest.raises(ValueError):
@@ -184,7 +214,7 @@ class TestEtaSymbolic:
             assert eta_symbolic((k,)) == ZetaExpr(0, {k: 1})
 
     def test_weight_three_telescoping_pair(self):
-        assert eta_symbolic((1, 2)) + eta_symbolic((2, 1)) == ZetaExpr(1)
+        assert ZetaExpr.sum([(1, eta_symbolic((1, 2))), (1, eta_symbolic((2, 1)))]) == ZetaExpr(1)
 
     def test_max_zeta_argument_bounded_by_weight(self):
         for parts in [(2, 3), (1, 1, 4), (3, 1, 2), (1, 1, 1, 1, 2)]:
@@ -368,12 +398,12 @@ class TestRestrictedTripleSum:
 
     def test_matches_enumeration(self):
         for q in range(1, 7):
-            direct = ZetaExpr(0)
-            for a1, a2 in weak_compositions(q, 2):
-                direct = direct + eta_symbolic((a1 + 1, a2 + 1, 1))
+            direct = componentwise_sum(
+                (1, eta_symbolic((a1 + 1, a2 + 1, 1))) for a1, a2 in weak_compositions(q, 2)
+            )
             assert eta_restricted_triple_sum(q) == direct
 
     def test_consistency_with_half_identity(self):
         for q in range(1, 7):
-            total = eta_restricted_triple_sum(q) + eta_symbolic((q + 1, 1, 1))
+            total = ZetaExpr.sum([(1, eta_restricted_triple_sum(q)), (1, eta_symbolic((q + 1, 1, 1)))])
             assert total == ZetaExpr(Fraction(1, 2))

@@ -1,5 +1,6 @@
 import inspect
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -147,6 +148,40 @@ class TestRemarkChain:
                 assert run_check("remark-chain", n=n, q=q).passed, (n, q)
 
 
+class TestFailingReports:
+    """A wrong closed form fails its reports with the exact discrepancy."""
+
+    def test_hook_closed_form_off_by_zeta3(self, monkeypatch):
+        closed_form = verify.eta_hook_closed_form
+        zeta3 = ZetaExpr(0, {3: 1})
+        monkeypatch.setattr(
+            verify, "eta_hook_closed_form",
+            lambda p, a: ZetaExpr.sum([(1, closed_form(p, a)), (1, zeta3)]),
+        )
+        reports = run_suite("hook")
+        broken = [r for r in reports if r.identity_id == "eta-hook-closed-form"]
+        assert len(broken) == 30
+        for rep in broken:
+            assert not rep.passed
+            assert rep.discrepancy == ZetaExpr(0, {3: -1}), rep.parameters
+            assert rep.to_json_dict()["discrepancy"] == {"constant": "0", "zeta": {"3": "-1"}}
+        assert all(r.passed for r in reports if r.identity_id != "eta-hook-closed-form")
+
+    def test_remark_chain_reports_the_last_nonzero_difference(self, monkeypatch):
+        bell, rho_sum = verify.bell_polynomial, verify._rho_sum
+        monkeypatch.setattr(verify, "bell_polynomial", lambda m, values: bell(m, values) + 1)
+        for n in range(1, 5):
+            for q in range(4):
+                # B moves by 1/(n n!); A, C and D still agree
+                rep = run_check("remark-chain", n=n, q=q)
+                assert not rep.passed
+                assert rep.discrepancy == ZetaExpr(Fraction(1, n * factorial(n))), (n, q)
+        # with C off by 2 as well, C - A is the later nonzero difference
+        monkeypatch.setattr(verify, "_rho_sum", lambda *args: rho_sum(*args) + 2)
+        rep = run_check("remark-chain", n=2, q=1)
+        assert not rep.passed and rep.discrepancy == ZetaExpr(2)
+
+
 class TestTables:
     def test_row_counts(self):
         reports = run_suite("tables")
@@ -193,8 +228,8 @@ class TestReportsInfrastructure:
         for rep in reports:
             again = rerun(rep)
             assert again.passed == rep.passed
-            assert ZetaExpr.coerce(again.lhs) == ZetaExpr.coerce(rep.lhs)
-            assert ZetaExpr.coerce(again.rhs) == ZetaExpr.coerce(rep.rhs)
+            assert again.lhs == rep.lhs
+            assert again.rhs == rep.rhs
 
     def test_report_serialization_shape(self):
         rep = run_check("rho-eta-connection", q=1, r=1)
