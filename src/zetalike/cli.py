@@ -36,6 +36,10 @@ MAX_DIGITS = 300
 # eta of weight 10,000 takes about 0.4 s in either mode; far larger weights
 # run for minutes or end in OverflowError or MemoryError
 MAX_ETA_WEIGHT = 10_000
+# partial_fraction_shifted takes about 2 sum_{i<j} s_i s_j big-integer steps,
+# so the weight cap does not bound its time: on a 2-vCPU VM eta 2000,2000
+# (4e6) takes about 4 s, and eta 5000,5000 did not finish in 40 s
+MAX_ETA_WORK = 4_000_000
 
 
 def _parse_index(text: str) -> tuple[int, ...]:
@@ -102,6 +106,11 @@ def _cmd_eta(args) -> tuple[int, str]:
     weight = sum(args.index)
     if weight > MAX_ETA_WEIGHT:
         raise ZetalikeError(f"eta weight must be at most {MAX_ETA_WEIGHT}, got {weight}")
+    work = (weight**2 - sum(s * s for s in args.index)) // 2
+    if work > MAX_ETA_WORK:
+        raise ZetalikeError(
+            f"eta index needs sum of s_i*s_j over i < j at most {MAX_ETA_WORK}, got {work}"
+        )
     if args.mode == "symbolic":
         value = eta_symbolic(args.index)
         # json prints the zeta-style coefficients whatever --render says

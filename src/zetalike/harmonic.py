@@ -76,20 +76,24 @@ def mzv_star_truncated(n: int, m: int, shift: Rational | int = 0) -> Rational:
 
         Z_n({1}^m; s) = Z_{n-1}({1}^m; s) + Z_n({1}^{m-1}; s) / (n+s),
 
-    splitting on whether the largest entry equals n.  Raises
-    :class:`PoleError` when shift is a negative integer in {-1, ..., -n}.
+    splitting on whether the largest entry equals n.  With s = p/d, 1/(i+s)
+    = d/(i d + p), so it runs on the integers Z_i({1}^j; s) L^j, L the lcm of
+    the i d + p, and builds one ``Fraction``.  Raises :class:`PoleError` when
+    shift is a negative integer in {-1, ..., -n}.
     """
     if n < 0 or m < 0:
         raise ValueError(f"mzv_star_truncated needs n, m >= 0, got ({n}, {m})")
     shift = Fraction(shift)
     if shift.denominator == 1 and -n <= shift.numerator <= -1:
         raise PoleError(f"shift {shift} hits a pole of the length-{n} sum")
-    row = [Fraction(1)] + [Fraction(0)] * m  # Z_0({1}^j; s) for j = 0..m
-    for i in range(1, n + 1):
-        inv = Fraction(1) / (i + shift)
+    d = shift.denominator
+    dens = [i * d + shift.numerator for i in range(1, n + 1)]
+    scale = math.lcm(*dens)
+    row = [1] + [0] * m  # Z_0({1}^j; s) L^j for j = 0..m
+    for step in [d * (scale // den) for den in dens]:
         for j in range(1, m + 1):
-            row[j] += row[j - 1] * inv
-    return row[m]
+            row[j] += row[j - 1] * step
+    return Fraction(row[m], scale**m)
 
 
 def alternating_binomial_sum(n: int, m: int) -> Rational:

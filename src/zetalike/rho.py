@@ -17,10 +17,10 @@ every suffix sum is >= 1); admissibility is checked once, at index
 construction, and nowhere else.
 
 Fixed-weight sums of rho-values (here and in ``verify``) never build a
-value per index.  |a| is fixed within such a sum, so it is (1/|a|!) sum w/P
-over the weak compositions behind the indices, with P the integer suffix
-product :func:`rho_exact` also uses; the w/P are added as integers over one
-running lcm and the sum is one ``Fraction``.
+value per index.  With |a| fixed, rho = 1/(|a|! P), P the product of the
+suffix sums: top, then top - c_i for the stars-and-bars cut points c_i.  So
+a sum ranges over ``combinations_with_replacement`` of suffix sums, adds the
+integers L/P in C, L a power of lcm(lo..top), and builds one ``Fraction``.
 
 :func:`rho_series_partial_at` sums the series itself, a cross-check that
 shares no code with :func:`rho_exact`.  It keeps integer numerators over one
@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .compositions import compositions, weak_compositions
 from .errors import InadmissibleIndexError
-from .numeric import Rational, _lcm_sum
+from .numeric import Rational
 
 __all__ = [
     "RhoIndex",
@@ -111,20 +111,10 @@ def indices(
             yield tuple(c + 1 for c in comp[:-1]) + (comp[-1] + last,)
 
 
-def _suffix_product(a: Sequence[int], shift: int = 0) -> int:
-    """prod over k of (shift + a_k + ... + a_r), the suffix sums of a, each
-    raised by ``shift``."""
-    prod, suffix = 1, shift
-    for ak in reversed(a):
-        suffix += ak
-        prod *= suffix
-    return prod
-
-
 def rho_exact(idx: RhoIndex | Iterable[int]) -> Rational:
     """Exact value 1/(|a|! * prod of suffix sums of a)."""
     a = RhoIndex.coerce(idx).alpha
-    return Fraction(1, math.factorial(sum(a)) * _suffix_product(a))
+    return Fraction(1, math.factorial(sum(a)) * math.prod(itertools.accumulate(reversed(a))))
 
 
 def rho_series_partial_at(
@@ -183,10 +173,12 @@ def suffix_balance_sum(q: int, n: int) -> Rational:
     """
     if q < 0 or n < 0:
         raise ValueError(f"need q, n >= 0, got ({q}, {n})")
-    # the j-th factor is a suffix sum of (a_1, ..., a_q) raised by a_{q+1} + 1
-    return Fraction(*_lcm_sum(
-        (1, _suffix_product(a[:-1], a[-1] + 1)) for a in weak_compositions(n, q + 1)
-    ))
+    # the factors are T_1 = n + 1 >= T_2 >= ... >= T_q, T_j = a_j + ... + a_{q+1} + 1
+    top = n + 1
+    common = math.lcm(*range(1, top + 1)) ** q
+    sums = itertools.combinations_with_replacement(range(top, 0, -1), q)
+    factors = map(operator.itemgetter(slice(q)), map((top,).__add__, sums))
+    return Fraction(sum(map(common.__floordiv__, map(math.prod, factors))), common)
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Callable, Iterable, NamedTuple, Union
 import mpmath
 import numpy as np
 
-from .compositions import weak_compositions
 from .errors import FixtureError, ZetalikeError
 from .eta import (
     ZetaExpr,
@@ -27,9 +26,9 @@ from .eta import (
     eta_symbolic,
 )
 from .harmonic import bell_polynomial, harmonic, harmonic_vector, mzv_star_truncated
-from .numeric import ApproxReal, Rational, _lcm_sum
+from .numeric import ApproxReal, Rational
 from .quadrature import integrate_unit_square
-from .rho import _suffix_product, indices, rho_exact, suffix_balance_sum
+from .rho import indices, rho_exact, suffix_balance_sum
 from . import tables
 
 Value = Union[Rational, ZetaExpr, ApproxReal]
@@ -107,16 +106,17 @@ def _eta_sum(idxs: Iterable[tuple[int, ...]]) -> ZetaExpr:
 
 
 def _rho_sum(weight: int, depth: int, last: int = 2) -> Rational:
-    # indices(weight, depth, last) has a = c + (0, ..., 0, last - 1) for the
-    # weak compositions c of its free weight, so |a| = weight - depth and
-    # rho = 1/(|a|! P) with P the suffix product of c raised by last - 1
+    # indices(weight, depth, last) has a = c + (0, ..., 0, last - 1), c a weak
+    # composition of free, so |a| = weight - depth and the suffix sums are
+    # top = free + last - 1 and depth - 1 more in [last - 1, top] (see rho.py)
     free = weight - depth - last + 1
     if free < 0:
         return Fraction(0)
-    num, den = _lcm_sum(
-        (1, _suffix_product(c, last - 1)) for c in weak_compositions(free, depth)
-    )
-    return Fraction(num, den * math.factorial(weight - depth))
+    lo, top = last - 1, last - 1 + free
+    common = math.lcm(*range(lo, top + 1)) ** (depth - 1)
+    sums = itertools.combinations_with_replacement(range(lo, top + 1), depth - 1)
+    num = sum(map(common.__floordiv__, map(math.prod, sums)))
+    return Fraction(num, common * top * math.factorial(weight - depth))
 
 
 def _split_eta_sum(n: int, q: int, last: int, ones: int) -> ZetaExpr:
@@ -156,11 +156,13 @@ def _rho_weighted_sum(n: int, q: int) -> tuple:
     """
     if n < 0 or q < 0:
         raise ValueError(f"need n, q >= 0, got ({n}, {q})")
-    # as in _rho_sum with last = 2: |a| = n + 1, and the weight is c_{q+1} + 1
-    num, den = _lcm_sum(
-        (c[-1] + 1, _suffix_product(c, 1)) for c in weak_compositions(n, q + 1)
-    )
-    lhs = Fraction(num, den * math.factorial(n + 1))
+    # as in _rho_sum: suffix sums n + 1 = T_1 >= ... >= T_{q+1} >= 1, weight T_{q+1}
+    top = n + 1
+    common = math.lcm(*range(1, top + 1)) ** (q + 1)
+    cuts = itertools.combinations_with_replacement(range(top, 0, -1), q)
+    sums, weights = itertools.tee(map((top,).__add__, cuts))
+    terms = map(common.__floordiv__, map(math.prod, sums))
+    lhs = Fraction(sum(map(int.__mul__, map(min, weights), terms)), common * math.factorial(n + 1))
     return _exact(lhs, Fraction(1, math.factorial(n + 1)))
 
 

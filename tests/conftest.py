@@ -17,6 +17,7 @@ import mpmath
 import pytest
 
 from zetalike import (
+    PoleError,
     ToleranceError,
     ZetaExpr,
     eta_symbolic,
@@ -296,6 +297,22 @@ def brute_mzv_star(n: int, m: int, shift=Fraction(0)) -> Fraction:
             term /= k + shift
         total += term
     return total
+
+
+def fraction_mzv_star(n: int, m: int, shift=0) -> Fraction:
+    """Z_n({1}^m; shift) by the two-way recurrence
+    Z_n({1}^m; s) = Z_{n-1}({1}^m; s) + Z_n({1}^{m-1}; s) / (n+s), one
+    ``Fraction`` per step; raises ``PoleError`` at a negative integer shift
+    in {-1, ..., -n}."""
+    shift = Fraction(shift)
+    if shift.denominator == 1 and -n <= shift.numerator <= -1:
+        raise PoleError(f"shift {shift} hits a pole of the length-{n} sum")
+    row = [Fraction(1)] + [Fraction(0)] * m
+    for i in range(1, n + 1):
+        inv = Fraction(1) / (i + shift)
+        for j in range(1, m + 1):
+            row[j] += row[j - 1] * inv
+    return row[m]
 
 
 def bell_via_exp_series(m: int, values) -> Fraction:

@@ -155,6 +155,25 @@ class TestEtaCommand:
         code, out, _ = run_capture(capsys, ["eta", f"1,{cap}", "--mode", mode])
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+    def test_work_cap_is_inclusive_and_refuses_before_evaluating(
+        self, capsys, monkeypatch, mode
+    ):
+        # 2*3 + 2*1 + 3*1 = 11 pairwise products
+        monkeypatch.setattr(cli, "MAX_ETA_WORK", 11)
+        code, out, _ = run_capture(capsys, ["eta", "2,3,1", "--mode", mode, "--digits", "5"])
+        assert code == 0 and out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated an index over the work cap")
+
+        monkeypatch.setattr(cli, "eta_symbolic", refuse)
+        monkeypatch.setattr(cli, "eta_numeric", refuse)
+        for fmt in ("text", "json"):
+            code, out, err = run_capture(capsys, ["eta", "2,3,2", "--mode", mode, "--format", fmt])
+            assert (code, out) == (2, "")
+            assert err == "error: eta index needs sum of s_i*s_j over i < j at most 11, got 16\n"
+
     def test_divergent_index(self, capsys):
         code, _, err = run_capture(capsys, ["eta", "1"])
         assert code == 2

@@ -11,7 +11,7 @@ from zetalike import (
     harmonic_vector,
     mzv_star_truncated,
 )
-from conftest import bell_via_exp_series, brute_mzv_star
+from conftest import bell_via_exp_series, brute_mzv_star, fraction_mzv_star
 
 rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
@@ -83,6 +83,27 @@ class TestMzvStar:
     def test_pole(self):
         with pytest.raises(PoleError):
             mzv_star_truncated(4, 2, -3)
+
+    def test_matches_fraction_recurrence(self):
+        shifts = [*range(7), Fraction(1, 2), Fraction(1, 3), Fraction(-1, 2), Fraction(-7, 3)]
+        for n in range(21):
+            for m in range(9):
+                for shift in shifts:
+                    got = mzv_star_truncated(n, m, shift)
+                    assert type(got) is Fraction
+                    assert got == fraction_mzv_star(n, m, shift), (n, m, shift)
+
+    def test_poles_match_fraction_recurrence(self):
+        for n in range(8):
+            for shift in range(-n - 2, 1):
+                outcomes = []
+                for fn in (mzv_star_truncated, fraction_mzv_star):
+                    try:
+                        outcomes.append(fn(n, 2, shift))
+                    except PoleError:
+                        outcomes.append(PoleError)
+                assert outcomes[0] == outcomes[1], (n, shift)
+                assert (outcomes[0] is PoleError) == (-n <= shift <= -1), (n, shift)
 
     def test_star_equals_bell_of_harmonics(self):
         for n in range(9):

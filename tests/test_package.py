@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +34,65 @@ def test_no_stdlib_reexports(name):
         and not getattr(getattr(module, n), "__module__", "").startswith("zetalike")
     ]
     assert foreign == []
+
+
+def _names_in(expr: ast.AST) -> set[str]:
+    """The names an expression reads, including those inside a string
+    annotation such as ``"RhoIndex" | Iterable[int]``."""
+    names = set()
+    for node in ast.walk(expr):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                names |= _names_in(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names ``source`` imports and never reads, in import order.  A name
+    counts as read in code, in an annotation (also a string one) or in
+    ``__all__``."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _names_in(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _names_in(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _names_in(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    source = Path(importlib.import_module(name).__file__).read_text()
+    assert unused_imports(source) == []
+
+
+def test_unused_import_check_sees_annotations_and_all():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "from typing import Iterable, Iterator, Sequence\n"
+        "from .rho import RhoIndex, rho_exact\n"
+        "__all__ = ['rho_exact']\n"
+        "def f(x: Iterable[int], y: 'RhoIndex | None' = None) -> Sequence[int]:\n"
+        "    return system.argv\n"
+    )
+    assert unused_imports(source) == ["os", "Iterator"]

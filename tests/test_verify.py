@@ -1,4 +1,5 @@
 import inspect
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -17,7 +18,7 @@ from conftest import fraction_eta_sum, fraction_rho_sum, fraction_rho_weighted_l
 from zetalike import verify
 from zetalike.errors import FixtureError
 from zetalike.rho import indices
-from zetalike.verify import CHECKS
+from zetalike.verify import CHECKS, SUITES
 
 
 class TestRhoEtaConnection:
@@ -41,8 +42,66 @@ class TestRhoEtaConnection:
                 assert run_check("rho-eta-connection", q=q, r=r).passed
 
 
+# the (weight, depth, last) that each check passes to verify._rho_sum
+RHO_SUM_CELLS = {
+    "rho-sum-fixed-weight": lambda m, r: (m + r + 1, r, 2),
+    "rho-sum-general": lambda r, s, q: (r + q + s + 2, q + 1, s + 2),
+    "rho-eta-connection": lambda q, r: (q + r + 2, q + 1, 2),
+    "remark-chain": lambda n, q: (q + n + 2, q + 2, 2),
+}
+
+
+def _one_step_past(grid: tuple[dict, ...]) -> tuple[dict, ...]:
+    """The grid with each axis run one value past its largest."""
+    return verify._grid(**{
+        axis: range(min(p[axis] for p in grid), max(p[axis] for p in grid) + 2)
+        for axis in grid[0]
+    })
+
+
+def _rho_sum_cells(grid_of) -> set[tuple[int, int, int]]:
+    return {
+        cells(**p) for cid, cells in RHO_SUM_CELLS.items() for p in grid_of(CHECKS[cid].grid)
+    }
+
+
 class TestFractionReferences:
     """The integer sums equal the per-term ``Fraction`` loops they replace."""
+
+    def test_rho_sum_cells_are_those_the_checks_reach(self, monkeypatch):
+        seen = set()
+        real = verify._rho_sum
+
+        def recording(weight, depth, last=2):
+            seen.add((weight, depth, last))
+            return real(weight, depth, last)
+
+        monkeypatch.setattr(verify, "_rho_sum", recording)
+        # only the rho side is recorded; a zero eta keeps every suite cheap
+        monkeypatch.setattr(verify, "eta_symbolic", lambda idx: ZetaExpr(0))
+        run_suite("all")
+        assert seen == _rho_sum_cells(lambda grid: grid)
+
+    def test_rho_sums_one_step_past_every_grid(self):
+        for weight, depth, last in sorted(_rho_sum_cells(_one_step_past)):
+            got = verify._rho_sum(weight, depth, last)
+            assert type(got) is Fraction
+            assert got == fraction_rho_sum(weight, depth, last), (weight, depth, last)
+
+    def test_rho_sum_lhs_shares_no_code_with_the_rhs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the lhs called mzv_star_truncated")
+
+        monkeypatch.setattr(verify, "mzv_star_truncated", refuse)
+        monkeypatch.setattr(sys.modules["zetalike.harmonic"], "mzv_star_truncated", refuse)
+        with pytest.raises(AssertionError):
+            run_check("rho-sum-general", r=1, s=1, q=1)
+        for cid in SUITES["rho-sum"]:
+            for p in CHECKS[cid].grid:
+                if cid == "rho-weighted-sum":
+                    assert run_check(cid, **p).passed
+                else:
+                    assert verify._rho_sum(*RHO_SUM_CELLS[cid](**p)) > 0
 
     def test_rho_sums(self):
         for weight in range(2, 14):
