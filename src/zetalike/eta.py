@@ -64,6 +64,8 @@ __all__ = [
 
 # the most terms the series oracle sums
 _ORACLE_CAP = 10**7
+# the most digits fast mode's sized last attempt may ask for (the CLI's --digits cap)
+_FAST_DIGITS_CAP = 300
 
 
 @dataclass(frozen=True)
@@ -387,6 +389,11 @@ def eta_numeric(
     the integral tail estimate N^(1-w)/(w-1) (w = weight) is below
     tolerance/2; this is deliberately independent of the symbolic reduction.
     mode="fast" evaluates :func:`eta_symbolic` with certified zeta constants.
+    It tries 4 precisions, 4 digits apart, from 1 digit past the tolerance.
+    A large constant or coefficient keeps its bound near |value| 10^-(d+4),
+    so if none certifies, one last attempt adds the log10(bound/tolerance)
+    digits the last bound was short by, plus 1; past _FAST_DIGITS_CAP it
+    is refused without evaluating.
 
     The oracle refuses tolerances below 1e-12 and term counts above 10**7.
     The factors are streamed one column per j, the pows (n+j-1)^(-s_j) for
@@ -409,12 +416,20 @@ def eta_numeric(
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if mode == "fast":
-        digits = max(2, int(math.ceil(-math.log10(tolerance))) + 1)
-        for _ in range(4):
+        start = max(2, int(math.ceil(-math.log10(tolerance))) + 1)
+        for digits in range(start, start + 16, 4):
             value = eta_symbolic(idx).numeric(digits)
             if value.error_bound <= mpmath.mpf(tolerance):
                 return value
-            digits += 4
+        digits += int(mpmath.ceil(mpmath.log10(value.error_bound / tolerance))) + 1
+        if digits > _FAST_DIGITS_CAP:
+            raise ToleranceError(
+                f"could not certify {idx} to {tolerance}: needs {digits} digits "
+                f"(cap {_FAST_DIGITS_CAP})"
+            )
+        value = eta_symbolic(idx).numeric(digits)
+        if value.error_bound <= mpmath.mpf(tolerance):
+            return value
         raise ToleranceError(f"could not certify {idx} to {tolerance}")
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}; expected 'oracle' or 'fast'")

@@ -10,16 +10,21 @@ directly as 1/(1 + exp(2g)) to avoid cancellation.
 Refinement doubles the node density per level; the error estimate is the
 difference between consecutive levels (a strongly conservative estimate for
 tanh-sinh once in the convergent regime), and refinement is budget-capped.
+
+numpy is imported inside the two functions, on their first call, so importing
+this module (and with it zetalike and its CLI) does not load numpy; only the
+``quadrature`` suite of ``verify`` pays for it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import QuadratureConvergenceError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["tanh_sinh_nodes_unit", "integrate_unit_square"]
 
@@ -36,6 +41,8 @@ def tanh_sinh_nodes_unit(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     given refinement level (h = 2**-level)."""
     if level < 0:
         raise ValueError("level must be >= 0")
+    import numpy as np
+
     h = 2.0 ** (-level)
     k_max = int(math.floor(_T_MAX / h))
     # nonnegative half only: exp(-2g) stays in (0, 1], so nothing overflows;
@@ -66,6 +73,8 @@ def integrate_unit_square(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    import numpy as np
+
     prev = None
     for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
         x, xc, w = tanh_sinh_nodes_unit(level)

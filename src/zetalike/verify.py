@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Union
 
 import mpmath
-import numpy as np
 
 from .errors import FixtureError, ZetalikeError
 from .eta import (
@@ -304,6 +303,8 @@ def _quadrature_integral(n: int, q: int) -> tuple:
     """
     if n < 0 or q < 0:
         raise ValueError(f"need n, q >= 0, got ({n}, {q})")
+    import numpy as np
+
     lhs = _eta_sum(indices(q + n + 2, n + 1)).numeric(14)
 
     def integrand(u, uc, v, vc):

@@ -66,6 +66,12 @@ class TestRhoCommand:
 
 
 class TestEtaCommand:
+    @pytest.mark.parametrize("index", ["31,31", "32,32", "35,35"])
+    def test_numeric_certifies_a_large_constant(self, capsys, index):
+        code, out, err = run_capture(capsys, ["eta", index, "--mode", "numeric"])
+        assert (code, err) == (0, "")
+        assert float(out.split("(error <= ")[1].rstrip(")\n")) <= 1e-12
+
     def test_symbolic_pi_render(self, capsys):
         code, out, _ = run_capture(
             capsys, ["eta", "1,2", "--mode", "symbolic", "--render", "pi"]

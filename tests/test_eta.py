@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zetalike.eta
@@ -336,6 +336,9 @@ class TestEtaNumeric:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(idx=st.integers(2, 10).flatmap(lambda w: st.sampled_from(tuple(indices(w)))),
            digits=st.integers(1, 300))
+    # constants near 1e17 that the 4-step ladder cannot certify alone
+    @example(idx=(31, 31), digits=12)
+    @example(idx=(35, 35), digits=12)
     def test_bounds_hold_against_mpmath(self, idx, digits):
         expr = eta_symbolic(idx)
         tolerance = 10.0**-digits
@@ -350,6 +353,18 @@ class TestEtaNumeric:
             )
             assert abs(exact.value - want) <= exact.error_bound
             assert abs(fast.value - want) <= fast.error_bound
+
+    def test_fast_refuses_a_last_attempt_past_the_digit_cap(self, monkeypatch):
+        # (31, 31) needs 27 digits; with a cap of 26 the sized attempt is
+        # refused before it evaluates, after the 4 ladder steps
+        calls = []
+        numeric = ZetaExpr.numeric
+        monkeypatch.setattr(zetalike.eta, "_FAST_DIGITS_CAP", 26)
+        monkeypatch.setattr(ZetaExpr, "numeric",
+                            lambda self, digits: calls.append(digits) or numeric(self, digits))
+        with pytest.raises(ToleranceError, match="needs 27 digits"):
+            eta_numeric((31, 31), "fast", 1e-12)
+        assert calls == [13, 17, 21, 25]
 
     def test_oracle_tolerance_cap(self):
         # weight 2 at 1e-8 needs 2*10**8 terms, past the 10**7 cap

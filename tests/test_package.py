@@ -1,7 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +99,46 @@ def test_unused_import_check_sees_annotations_and_all():
         "    return system.argv\n"
     )
     assert unused_imports(source) == ["os", "Iterator"]
+
+
+def _fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports zetalike
+    from the same sources as this process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(zetalike.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    return proc.stdout
+
+
+def test_numpy_is_loaded_only_by_the_quadrature_suite():
+    code = (
+        "import contextlib, io, sys\n"
+        "import zetalike.cli as cli\n"
+        "loaded = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['rho', '2,3'], ['eta', '2,1'], ['eta', '2,1', '--mode', 'numeric'],\n"
+        "                 ['table', 'eta', '--weight', '4'], ['verify', '--suite', 'tables'],\n"
+        "                 ['verify', '--suite', 'quadrature']):\n"
+        "        assert cli.run(argv) == 0, argv\n"
+        "        loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    assert _fresh(code).strip() == str([False] * 5 + [True])
+
+
+def test_import_loads_every_module_the_tracer_patches():
+    # perfbench/tracing.py patches sys.modules["zetalike.<module>"] for each
+    # target once the benchmark has imported zetalike.cli, so a module loaded
+    # lazily would end a traced run in a KeyError
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text())
+    targets = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    modules = sorted({entry.elts[0].value for entry in targets.elts})
+    assert "quadrature" in modules
+    code = (
+        "import sys, zetalike.cli\n"
+        f"print([m for m in {modules!r} if 'zetalike.' + m not in sys.modules])\n"
+    )
+    assert _fresh(code).strip() == "[]"
