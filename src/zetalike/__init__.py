@@ -8,7 +8,7 @@ truncated zeta-star sums), a verification suite for every identity it
 implements, and a CLI for tables and reports.
 """
 
-from .compositions import compositions, weak_compositions
+from .compositions import weak_compositions
 from .errors import (
     FixtureError,
     InadmissibleIndexError,
@@ -30,7 +30,6 @@ from .eta import (
 from .harmonic import (
     alternating_binomial_sum,
     bell_polynomial,
-    harmonic,
     harmonic_vector,
     mzv_star_truncated,
 )
@@ -79,12 +78,10 @@ __all__ = [
     "alternating_binomial_sum",
     "bell_polynomial",
     "bernoulli_number",
-    "compositions",
     "eta_hook_closed_form",
     "eta_numeric",
     "eta_restricted_triple_sum",
     "eta_symbolic",
-    "harmonic",
     "harmonic_vector",
     "mzv_star_truncated",
     "partial_fraction_shifted",

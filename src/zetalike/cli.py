@@ -25,14 +25,11 @@ import sys
 import mpmath
 
 from .errors import ZetalikeError
-from .eta import eta_numeric, eta_symbolic
+from .eta import MAX_DIGITS, eta_numeric, eta_symbolic
 from .rho import RhoIndex, indices, rho_exact
 from .verify import SUITES, run_suite, value_to_json
 
 MAX_TABLE_WEIGHT = 12
-# zeta_constant slows sharply past a few hundred digits, and 10.0**-digits
-# underflows to 0.0 from 324 on
-MAX_DIGITS = 300
 # eta of weight 10,000 takes about 0.4 s in either mode; far larger weights
 # run for minutes or end in OverflowError or MemoryError
 MAX_ETA_WEIGHT = 10_000

@@ -60,12 +60,15 @@ __all__ = [
     "eta_numeric",
     "eta_hook_closed_form",
     "eta_restricted_triple_sum",
+    "MAX_DIGITS",
 ]
 
 # the most terms the series oracle sums
 _ORACLE_CAP = 10**7
-# the most digits fast mode's sized last attempt may ask for (the CLI's --digits cap)
-_FAST_DIGITS_CAP = 300
+# the most digits a numeric eta-value is certified to, in fast mode's sized
+# last attempt and by the CLI's --digits: zeta_constant slows sharply past a
+# few hundred digits, and 10.0**-digits underflows to 0.0 from 324 on
+MAX_DIGITS = 300
 
 
 @dataclass(frozen=True)
@@ -392,7 +395,7 @@ def eta_numeric(
     It tries 4 precisions, 4 digits apart, from 1 digit past the tolerance.
     A large constant or coefficient keeps its bound near |value| 10^-(d+4),
     so if none certifies, one last attempt adds the log10(bound/tolerance)
-    digits the last bound was short by, plus 1; past _FAST_DIGITS_CAP it
+    digits the last bound was short by, plus 1; past MAX_DIGITS it
     is refused without evaluating.
 
     The oracle refuses tolerances below 1e-12 and term counts above 10**7.
@@ -422,10 +425,10 @@ def eta_numeric(
             if value.error_bound <= mpmath.mpf(tolerance):
                 return value
         digits += int(mpmath.ceil(mpmath.log10(value.error_bound / tolerance))) + 1
-        if digits > _FAST_DIGITS_CAP:
+        if digits > MAX_DIGITS:
             raise ToleranceError(
                 f"could not certify {idx} to {tolerance}: needs {digits} digits "
-                f"(cap {_FAST_DIGITS_CAP})"
+                f"(cap {MAX_DIGITS})"
             )
         value = eta_symbolic(idx).numeric(digits)
         if value.error_bound <= mpmath.mpf(tolerance):

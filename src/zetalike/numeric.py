@@ -124,10 +124,15 @@ class ApproxReal:
             raise ValueError("error_bound must be nonnegative")
 
     def __repr__(self) -> str:
-        return (
-            f"ApproxReal({mpmath.nstr(self.value, min(self.dps, 20))}, "
-            f"+/-{mpmath.nstr(self.error_bound, 3)})"
-        )
+        d = self.to_json_dict()
+        return f"ApproxReal({d['value']}, +/-{d['error_bound']})"
+
+    def to_json_dict(self) -> dict:
+        """The value to min(dps, 20) significant digits and the bound to 3."""
+        return {
+            "value": mpmath.nstr(self.value, min(self.dps, 20)),
+            "error_bound": mpmath.nstr(self.error_bound, 3),
+        }
 
 
 # --------------------------------------------------------------------------

@@ -50,14 +50,9 @@ __all__ = [
 def value_to_json(v: Value) -> dict:
     """Shared value encoding: exact values carry constant + zeta map, numeric
     values carry a decimal string and an error bound."""
-    if isinstance(v, ApproxReal):
-        return {
-            "value": mpmath.nstr(v.value, min(v.dps, 20)),
-            "error_bound": mpmath.nstr(v.error_bound, 3),
-        }
     if isinstance(v, (int, Fraction)):
         v = ZetaExpr(v)
-    if isinstance(v, ZetaExpr):
+    if isinstance(v, (ZetaExpr, ApproxReal)):
         return v.to_json_dict()
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
@@ -141,8 +136,6 @@ def _rho_sum_general(r: int, s: int, q: int) -> tuple:
     formula sum_{|s|=m} rho(s_1+1, ..., s_{r-1}+1, s_r+2)
     = Z_{m+1}({1}^{r-1}) / ((m+1) (m+1)!).
     """
-    if r < 0 or s < 0 or q < 0:
-        raise ValueError(f"need r, s, q >= 0, got ({r}, {s}, {q})")
     lhs = _rho_sum(r + q + s + 2, q + 1, s + 2)
     rhs = mzv_star_truncated(r + 1, q, s) / ((r + s + 1) * math.factorial(r + s + 1))
     return _exact(lhs, rhs)
@@ -153,8 +146,6 @@ def _rho_weighted_sum(n: int, q: int) -> tuple:
 
         sum_{|a|=n} (a_{q+1}+1) rho(a_1+1, ..., a_q+1, a_{q+1}+2) = 1/(n+1)!.
     """
-    if n < 0 or q < 0:
-        raise ValueError(f"need n, q >= 0, got ({n}, {q})")
     # as in _rho_sum: suffix sums n + 1 = T_1 >= ... >= T_{q+1} >= 1, weight T_{q+1}
     top = n + 1
     common = math.lcm(*range(1, top + 1)) ** (q + 1)
@@ -174,8 +165,6 @@ def _rho_eta_connection(q: int, r: int) -> tuple:
     Passing requires the eta side's zeta-coefficients to cancel exactly, not
     just the totals to agree numerically.
     """
-    if q < 0 or r < 0:
-        raise ValueError(f"need q, r >= 0, got ({q}, {r})")
     lhs = _eta_sum(indices(q + r + 2, r + 2))
     rhs = _rho_sum(q + r + 2, q + 1)
     return _exact(lhs, rhs)
@@ -187,8 +176,6 @@ def _hook_sides(n: int, q: int) -> tuple[ZetaExpr, Rational]:
         sum_{r+s=n, |a|=q} eta(a_1+1, ..., a_r+1, a_{r+1}+2, {1}^s)
             = P_{q+1}(H_n^(1), ..., H_n^(q+1)) / (n n!).
     """
-    if n < 1 or q < 0:
-        raise ValueError(f"need n >= 1 and q >= 0, got ({n}, {q})")
     lhs = _split_eta_sum(n, q, 2, 0)
     rhs = bell_polynomial(q + 1, harmonic_vector(n, q + 1)) / (n * math.factorial(n))
     return lhs, rhs
@@ -205,8 +192,6 @@ def _weighted_eta_sum(n: int, q: int) -> tuple:
     it; that multiplicity is what turns into the (b+1)-style weights of the
     specialized corollaries, which pin this reading down.
     """
-    if n < 1 or q < 0:
-        raise ValueError(f"need n >= 1 and q >= 0, got ({n}, {q})")
     lhs = _split_eta_sum(n, q, 1, 1)
     rhs = Fraction((-1) ** (q + 1), n * math.factorial(n + 1))
     acc = Fraction(0)
@@ -223,8 +208,6 @@ def _weighted_eta_sum(n: int, q: int) -> tuple:
 def _w121(n: int) -> tuple:
     """sum (b+1) eta({1}^a, 2, {1}^(b+1)) over a+b=n equals
     ((n+1) H_n - n) / (n (n+1)!)."""
-    if n < 1:
-        raise ValueError(f"w121 needs n >= 1, got {n}")
     lhs = ZetaExpr.sum(
         (b + 1, eta_symbolic((1,) * (n - b) + (2,) + (1,) * (b + 1))) for b in range(n + 1)
     )
@@ -234,8 +217,6 @@ def _w121(n: int) -> tuple:
 def _w122(n: int) -> tuple:
     """The analogous order-3 combination equals
     (2n + (n+1)(H_n^2 - 2 H_n + H_n^(2))) / (2n (n+1)!)."""
-    if n < 1:
-        raise ValueError(f"w122 needs n >= 1, got {n}")
     lhs = ZetaExpr.sum(itertools.chain(
         ((b + 1, eta_symbolic((1,) * (n - b) + (3,) + (1,) * (b + 1))) for b in range(n + 1)),
         ((c + 1, eta_symbolic((1,) * a + (2,) + (1,) * (n - 1 - a - c) + (2,) + (1,) * (c + 1)))
@@ -248,8 +229,6 @@ def _w122(n: int) -> tuple:
 
 def _e38(q: int) -> tuple:
     """sum_{a1+a2=q} eta(a1+1, a2+1, 1) + eta(q+1, 1, 1) equals 1/2."""
-    if q < 0:
-        raise ValueError(f"e38 needs q >= 0, got {q}")
     lhs = _eta_sum([*(idx + (1,) for idx in indices(q + 2, 2)), (q + 1, 1, 1)])
     return _exact(lhs, Fraction(1, 2))
 
@@ -301,8 +280,6 @@ def _quadrature_integral(n: int, q: int) -> tuple:
     square with integrand (log(1/u))^q (1 - u t2)^(n-1), which tanh-sinh
     handles at both singular corners.
     """
-    if n < 0 or q < 0:
-        raise ValueError(f"need n, q >= 0, got ({n}, {q})")
     import numpy as np
 
     lhs = _eta_sum(indices(q + n + 2, n + 1)).numeric(14)
@@ -346,7 +323,8 @@ class Check(NamedTuple):
 
 
 def _grid(**axes: Iterable[int]) -> tuple[dict, ...]:
-    """Every combination of the axes' values, the first axis outermost."""
+    """Every combination of the axes' values, the first axis outermost.  Axes
+    are given ascending, so the first cell holds each axis's least value."""
     return tuple(dict(zip(axes, cell)) for cell in itertools.product(*axes.values()))
 
 
@@ -477,11 +455,16 @@ def _select(name: str, max_weight: int | None) -> list[tuple[str, dict]]:
 
 
 def run_check(identity_id: str, **params) -> VerificationReport:
-    """Check one identity of :data:`CHECKS` at the given parameters."""
+    """Check one identity of :data:`CHECKS` at the given parameters.  An
+    integer parameter below its value in the grid's first cell, the
+    identity's least case, is refused with ``ValueError``."""
     try:
         check = CHECKS[identity_id]
     except KeyError:
         raise ValueError(f"unknown identity {identity_id!r}") from None
+    for key, least in check.grid[0].items():
+        if isinstance(least, int) and key in params and params[key] < least:
+            raise ValueError(f"{identity_id} needs {key} >= {least}, got {params[key]}")
     return VerificationReport(identity_id, params, *check.outcome(**params))
 
 

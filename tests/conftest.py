@@ -21,10 +21,10 @@ from zetalike import (
     ToleranceError,
     ZetaExpr,
     eta_symbolic,
-    harmonic,
     partial_fraction_shifted,
     zeta_constant,
 )
+from zetalike.harmonic import harmonic
 from zetalike.rho import indices
 
 

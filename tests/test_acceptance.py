@@ -16,7 +16,6 @@ from zetalike import (
     eta_numeric,
     eta_restricted_triple_sum,
     eta_symbolic,
-    harmonic,
     harmonic_vector,
     mzv_star_truncated,
     partial_fraction_shifted,
@@ -28,6 +27,7 @@ from zetalike import (
 )
 from zetalike import cli
 from zetalike.eta import ZetaExpr
+from zetalike.harmonic import harmonic
 from zetalike.tables import ETA_TABLE, RHO_TABLE
 
 

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from zetalike import compositions, weak_compositions
+from zetalike import weak_compositions
+from zetalike.compositions import compositions
 from conftest import recursive_weak_compositions
 
 

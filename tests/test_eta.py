@@ -21,15 +21,15 @@ from zetalike import (
     InadmissibleIndexError,
     ToleranceError,
     ZetaExpr,
-    compositions,
     eta_hook_closed_form,
     eta_numeric,
     eta_restricted_triple_sum,
     eta_symbolic,
-    harmonic,
     partial_fraction_shifted,
     weak_compositions,
 )
+from zetalike.compositions import compositions
+from zetalike.harmonic import harmonic
 from zetalike.rho import indices
 
 _FRACTIONS = st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**9)
@@ -359,7 +359,7 @@ class TestEtaNumeric:
         # refused before it evaluates, after the 4 ladder steps
         calls = []
         numeric = ZetaExpr.numeric
-        monkeypatch.setattr(zetalike.eta, "_FAST_DIGITS_CAP", 26)
+        monkeypatch.setattr(zetalike.eta, "MAX_DIGITS", 26)
         monkeypatch.setattr(ZetaExpr, "numeric",
                             lambda self, digits: calls.append(digits) or numeric(self, digits))
         with pytest.raises(ToleranceError, match="needs 27 digits"):

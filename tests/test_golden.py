@@ -2,9 +2,10 @@
 
 Each digest is the sha256 of stdout plus the exit code of one argv, captured
 before any change to the output paths; the file is only read here.  The subset
-checked is ``verify --suite all`` in every format and every ``table`` argv
-(weights 2..12), which exercises every report, row and value renderer and
-every exact eta- and rho-value up to the largest table weight.
+checked is ``verify --suite all`` in every format, every ``table`` argv
+(weights 2..12) and every ``verify ... --format json`` argv, which exercises
+every report, row and value renderer, every exact eta- and rho-value up to the
+largest table weight and every ``--max-weight`` selection of every suite.
 """
 
 import hashlib
@@ -23,11 +24,12 @@ GOLDEN_ARGV = [
     for argv in DIGESTS
     if argv.startswith("verify --suite all --format")
     or argv.startswith("table ")
+    or (argv.startswith("verify ") and argv.endswith(" --format json"))
 ]
 
 
 def test_golden_subset_size():
-    assert len(GOLDEN_ARGV) == 135
+    assert len(GOLDEN_ARGV) == 269
 
 
 @pytest.mark.parametrize("argv", GOLDEN_ARGV)

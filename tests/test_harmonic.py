@@ -7,10 +7,10 @@ from zetalike import (
     PoleError,
     alternating_binomial_sum,
     bell_polynomial,
-    harmonic,
     harmonic_vector,
     mzv_star_truncated,
 )
+from zetalike.harmonic import harmonic
 from conftest import bell_via_exp_series, brute_mzv_star, fraction_mzv_star
 
 rationals = st.fractions(

@@ -24,6 +24,14 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_submodule_is_not_shadowed(name):
+    # a root re-export named like its submodule, such as the function
+    # harmonic, would make `import zetalike.harmonic as h` bind the function
+    importlib.import_module(name)
+    assert getattr(zetalike, name.removeprefix("zetalike.")) is sys.modules[name]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_no_stdlib_reexports(name):
     # every exported function is zetalike's own code, not a builtin or another

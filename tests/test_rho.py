@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from zetalike import (
     InadmissibleIndexError,
     RhoIndex,
-    compositions,
     rho_alternating,
     rho_exact,
     rho_head_ones,
@@ -18,6 +17,7 @@ from zetalike import (
     weak_compositions,
 )
 import zetalike.rho
+from zetalike.compositions import compositions
 from zetalike.rho import indices
 from conftest import brute_rho_partial, fraction_rho_partial, fraction_suffix_balance
 from zetalike.verify import CHECKS

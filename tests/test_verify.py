@@ -354,3 +354,17 @@ class TestRegistry:
     def test_out_of_range_parameters_raise(self, identity_id, params):
         with pytest.raises(ValueError):
             run_check(identity_id, **params)
+
+    @pytest.mark.parametrize("identity_id, key", [
+        (cid, key)
+        for cid, check in CHECKS.items()
+        for key, least in check.grid[0].items()
+        if isinstance(least, int)
+    ])
+    def test_below_the_first_grid_cell_raises(self, identity_id, key):
+        # the first cell is the least case of every axis, and run_check
+        # refuses a value below it
+        grid = CHECKS[identity_id].grid
+        assert grid[0][key] == min(p[key] for p in grid)
+        with pytest.raises(ValueError, match=f"needs {key} >= {grid[0][key]}"):
+            run_check(identity_id, **{**grid[0], key: grid[0][key] - 1})
