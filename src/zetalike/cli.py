@@ -119,16 +119,16 @@ def _cmd_eta(args) -> tuple[int, str]:
                 f"eta-value of weight {weight} and depth {len(args.index)} "
                 f"has a number of more than {limit} digits, too long to print"
             )
-        text = value.render(style)
     else:
         value = eta_numeric(args.index, mode="fast", tolerance=10.0 ** (-args.digits))
-        text = (
-            f"{mpmath.nstr(value.value, args.digits)} "
-            f"(error <= {mpmath.nstr(value.error_bound, 3)})"
-        )
     if args.format == "json":
         return 0, _format("json", _envelope(args.index, value), [])
-    return 0, f"{text}\n"
+    if args.mode == "symbolic":
+        return 0, f"{value.render(args.render)}\n"
+    return 0, (
+        f"{mpmath.nstr(value.value, args.digits)} "
+        f"(error <= {mpmath.nstr(value.error_bound, 3)})\n"
+    )
 
 
 def _table_values(family: str, weight: int) -> list[tuple[tuple[int, ...], object]]:

@@ -13,7 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 import mpmath
 
@@ -83,12 +84,64 @@ class VerificationReport:
         return out
 
 
-def _exact(lhs, rhs, details=None) -> tuple:
-    """The outcome of comparing two exact values; a ZetaExpr lhs must also be
-    purely rational when rhs is rational (zeta-cancellation is part of the
+# --------------------------------------------------------------------------
+# Check registry
+# --------------------------------------------------------------------------
+
+class Check(NamedTuple):
+    """One identity: the suite it runs in, ``sides(**params)``, a generator
+    that yields its report's lhs, then any further links of a chain, then its
+    rhs, the parameter grid in report order, ``weight_of(**params)``, the
+    weight a ``max_weight`` cap compares against, and ``compare(lhs, rhs,
+    *links)``, which returns the report's ``(passed, discrepancy, details)``.
+
+    Sides call the kernels through this module's globals at call time, so a
+    wrapper patched over a kernel is seen by every check.
+    """
+
+    suite: str
+    sides: Callable[..., Iterator[Value]]
+    grid: tuple[dict, ...]
+    weight_of: Callable[..., int]
+    compare: Callable[..., tuple]
+
+
+# insertion order is report order: suites run in the order they first
+# appear, and a suite's checks in the order registered (but see _select on
+# tables)
+CHECKS: dict[str, Check] = {}
+
+
+def _exact(lhs, rhs, **details) -> tuple:
+    """The default comparison, of two exact values; a ZetaExpr lhs must also
+    be purely rational when rhs is rational (zeta-cancellation is part of the
     check)."""
     diff = ZetaExpr.sum([(1, lhs), (-1, rhs)])
-    return lhs, rhs, diff.is_zero(), diff, details or {}
+    return diff.is_zero(), diff, details
+
+
+def _check(identity_id: str, suite: str, grid: tuple[dict, ...], weight_of, compare=_exact):
+    """Register the decorated sides generator as :data:`CHECKS` entry
+    ``identity_id``."""
+    def register(sides):
+        CHECKS[identity_id] = Check(suite, sides, grid, weight_of, compare)
+        return sides
+    return register
+
+
+def _grid(**axes: Iterable[int]) -> tuple[dict, ...]:
+    """Every combination of the axes' values, the first axis outermost.  Axes
+    are given ascending, so the first cell holds each axis's least value."""
+    return tuple(dict(zip(axes, cell)) for cell in itertools.product(*axes.values()))
+
+
+def _table_grid(min_last: int) -> tuple[dict, ...]:
+    # the indices of every fixture weight whose last entry is at least min_last
+    return tuple(
+        {"index": ",".join(map(str, idx)), "weight": w}
+        for w in tables.FIXTURE_WEIGHTS
+        for idx in indices(w, last=min_last)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -122,11 +175,41 @@ def _split_eta_sum(n: int, q: int, last: int, ones: int) -> ZetaExpr:
     )
 
 
+def _cell(index: str) -> tuple[int, ...]:
+    # a table grid cell's index string as a tuple
+    return tuple(int(x) for x in index.split(","))
+
+
 # --------------------------------------------------------------------------
-# Outcomes: each returns a report's (lhs, rhs, passed, discrepancy, details)
+# Identities: each yields its report's lhs, any further links, then its rhs
 # --------------------------------------------------------------------------
 
-def _rho_sum_general(r: int, s: int, q: int) -> tuple:
+@_check("table-rho", "tables", _table_grid(2), lambda index, weight: weight)
+def _table_rho(index: str, weight: int) -> Iterator[Value]:
+    """rho at a fixture index equals its printed value."""
+    idx = _cell(index)
+    yield rho_exact(idx)
+    yield tables.rho_reference(idx)
+
+
+@_check("table-eta", "tables", _table_grid(1), lambda index, weight: weight)
+def _table_eta(index: str, weight: int) -> Iterator[Value]:
+    """eta at a fixture index equals its printed value."""
+    idx = _cell(index)
+    yield eta_symbolic(idx)
+    yield tables.eta_reference(idx)
+
+
+@_check("rho-sum-fixed-weight", "rho-sum", _grid(m=range(11), r=range(1, 7)),
+        lambda m, r: m + r + 1)
+def _rho_sum_fixed_weight(m: int, r: int) -> Iterator[Value]:
+    """The paper's fixed-weight formula, rho-sum-general at s = 0."""
+    yield from _rho_sum_general(m, 0, r - 1)
+
+
+@_check("rho-sum-general", "rho-sum", _grid(r=range(7), s=range(5), q=range(5)),
+        lambda r, s, q: r + s + q + 2)
+def _rho_sum_general(r: int, s: int, q: int) -> Iterator[Value]:
     """The shifted fixed-weight sum formula
 
         sum_{|a|=r} rho(a_1+1, ..., a_q+1, a_{q+1}+s+2)
@@ -136,12 +219,12 @@ def _rho_sum_general(r: int, s: int, q: int) -> tuple:
     formula sum_{|s|=m} rho(s_1+1, ..., s_{r-1}+1, s_r+2)
     = Z_{m+1}({1}^{r-1}) / ((m+1) (m+1)!).
     """
-    lhs = _rho_sum(r + q + s + 2, q + 1, s + 2)
-    rhs = mzv_star_truncated(r + 1, q, s) / ((r + s + 1) * math.factorial(r + s + 1))
-    return _exact(lhs, rhs)
+    yield _rho_sum(r + q + s + 2, q + 1, s + 2)
+    yield mzv_star_truncated(r + 1, q, s) / ((r + s + 1) * math.factorial(r + s + 1))
 
 
-def _rho_weighted_sum(n: int, q: int) -> tuple:
+@_check("rho-weighted-sum", "rho-sum", _grid(n=range(11), q=range(6)), lambda n, q: n + q + 2)
+def _rho_weighted_sum(n: int, q: int) -> Iterator[Value]:
     """The weighted sum formula
 
         sum_{|a|=n} (a_{q+1}+1) rho(a_1+1, ..., a_q+1, a_{q+1}+2) = 1/(n+1)!.
@@ -152,11 +235,12 @@ def _rho_weighted_sum(n: int, q: int) -> tuple:
     cuts = itertools.combinations_with_replacement(range(top, 0, -1), q)
     sums, weights = itertools.tee(map((top,).__add__, cuts))
     terms = map(common.__floordiv__, map(math.prod, sums))
-    lhs = Fraction(sum(map(int.__mul__, map(min, weights), terms)), common * math.factorial(n + 1))
-    return _exact(lhs, Fraction(1, math.factorial(n + 1)))
+    yield Fraction(sum(map(int.__mul__, map(min, weights), terms)), common * math.factorial(n + 1))
+    yield Fraction(1, math.factorial(n + 1))
 
 
-def _rho_eta_connection(q: int, r: int) -> tuple:
+@_check("rho-eta-connection", "rho-eta", _grid(q=range(5), r=range(5)), lambda q, r: q + r + 2)
+def _rho_eta_connection(q: int, r: int) -> Iterator[Value]:
     """Fixed-weight eta-sums over depth r+2 equal rho-sums over depth q+1:
 
         sum_{|s|=q} eta(s_1+1, ..., s_{r+2}+1)
@@ -165,23 +249,63 @@ def _rho_eta_connection(q: int, r: int) -> tuple:
     Passing requires the eta side's zeta-coefficients to cancel exactly, not
     just the totals to agree numerically.
     """
-    lhs = _eta_sum(indices(q + r + 2, r + 2))
-    rhs = _rho_sum(q + r + 2, q + 1)
-    return _exact(lhs, rhs)
+    yield _eta_sum(indices(q + r + 2, r + 2))
+    yield _rho_sum(q + r + 2, q + 1)
 
 
-def _hook_sides(n: int, q: int) -> tuple[ZetaExpr, Rational]:
+@_check("eta-hook-sum", "hook", _grid(n=range(1, 6), q=range(4)), lambda n, q: n + q + 2)
+def _eta_hook_sum(n: int, q: int) -> Iterator[Value]:
     """Hook-shaped eta-sums and the cycle-index closed form they equal:
 
         sum_{r+s=n, |a|=q} eta(a_1+1, ..., a_r+1, a_{r+1}+2, {1}^s)
             = P_{q+1}(H_n^(1), ..., H_n^(q+1)) / (n n!).
     """
-    lhs = _split_eta_sum(n, q, 2, 0)
-    rhs = bell_polynomial(q + 1, harmonic_vector(n, q + 1)) / (n * math.factorial(n))
-    return lhs, rhs
+    yield _split_eta_sum(n, q, 2, 0)
+    yield bell_polynomial(q + 1, harmonic_vector(n, q + 1)) / (n * math.factorial(n))
 
 
-def _weighted_eta_sum(n: int, q: int) -> tuple:
+def _chain(a, d, b, c) -> tuple:
+    """remark-chain's comparison: B, C and D each equal A, and the
+    discrepancy is the last nonzero difference from A."""
+    worst = ZetaExpr(0)
+    for v in (b, c, d):
+        diff = ZetaExpr.sum([(1, v), (-1, a)])
+        if not diff.is_zero():
+            worst = diff
+    details = {
+        "eta_hook_enumeration": a.render(),
+        "bell_closed_form": str(b),
+        "rho_enumeration": str(c),
+        "eta_flat_enumeration": d.render(),
+    }
+    return worst.is_zero(), worst, details
+
+
+@_check("remark-chain", "hook", _grid(n=range(1, 5), q=range(4)), lambda n, q: n + q + 2, _chain)
+def _remark_chain(n: int, q: int) -> Iterator[Value]:
+    """Four independent computations of one quantity, checked pairwise equal:
+
+    A: the hook-shaped eta-enumeration over r+s=n, |a|=q;
+    B: P_{q+1}(H_n^(1..q+1)) / (n n!);
+    C: sum_{|s|=n-1} rho(s_1+1, ..., s_{q+1}+1, s_{q+2}+2);
+    D: sum_{|a|=q+1} eta(a_1+1, ..., a_{n+1}+1).
+    """
+    yield from _eta_hook_sum(n, q)
+    yield _rho_sum(q + n + 2, q + 2)
+    yield _eta_sum(indices(q + n + 2, n + 1))
+
+
+@_check("eta-hook-closed-form", "hook", _grid(p=range(2, 7), a=range(6)), lambda p, a: p + a)
+def _hook_closed_form(p: int, a: int) -> Iterator[Value]:
+    """eta(p, {1}^a) by partial fractions equals its harmonic closed form."""
+    yield eta_symbolic((p,) + (1,) * a)
+    yield eta_hook_closed_form(p, a)
+
+
+@_check("weighted-eta-sum", "weighted", _grid(n=range(1, 5), q=range(4)),
+        lambda n, q: n + q + 2,
+        partial(_exact, index_layout="(a_1+1..a_{r+1}+1, {1}^(s+1)) over r+s=n"))
+def _weighted_eta_sum(n: int, q: int) -> Iterator[Value]:
     """Trailing-ones variant:
 
         sum_{r+s=n, |a|=q} eta(a_1+1, ..., a_{r+1}+1, {1}^(s+1))
@@ -192,76 +316,58 @@ def _weighted_eta_sum(n: int, q: int) -> tuple:
     it; that multiplicity is what turns into the (b+1)-style weights of the
     specialized corollaries, which pin this reading down.
     """
-    lhs = _split_eta_sum(n, q, 1, 1)
+    yield _split_eta_sum(n, q, 1, 1)
     rhs = Fraction((-1) ** (q + 1), n * math.factorial(n + 1))
     acc = Fraction(0)
     for k in range(q + 1):
         acc += (-1) ** (q - k) * bell_polynomial(k, harmonic_vector(n, k))
-    rhs += acc / (n * math.factorial(n))
-    return _exact(
-        lhs, rhs, {"index_layout": "(a_1+1..a_{r+1}+1, {1}^(s+1)) over r+s=n"}
-    )
+    yield rhs + acc / (n * math.factorial(n))
 
 
 # The printed specializations of the trailing-ones identity.
 
-def _w121(n: int) -> tuple:
+@_check("w121", "weighted", _grid(n=range(1, 7)), lambda n: n + 3)
+def _w121(n: int) -> Iterator[Value]:
     """sum (b+1) eta({1}^a, 2, {1}^(b+1)) over a+b=n equals
     ((n+1) H_n - n) / (n (n+1)!)."""
-    lhs = ZetaExpr.sum(
+    yield ZetaExpr.sum(
         (b + 1, eta_symbolic((1,) * (n - b) + (2,) + (1,) * (b + 1))) for b in range(n + 1)
     )
-    return _exact(lhs, ((n + 1) * harmonic(n) - n) / (n * math.factorial(n + 1)))
+    yield ((n + 1) * harmonic(n) - n) / (n * math.factorial(n + 1))
 
 
-def _w122(n: int) -> tuple:
+@_check("w122", "weighted", _grid(n=range(1, 5)), lambda n: n + 4)
+def _w122(n: int) -> Iterator[Value]:
     """The analogous order-3 combination equals
     (2n + (n+1)(H_n^2 - 2 H_n + H_n^(2))) / (2n (n+1)!)."""
-    lhs = ZetaExpr.sum(itertools.chain(
+    yield ZetaExpr.sum(itertools.chain(
         ((b + 1, eta_symbolic((1,) * (n - b) + (3,) + (1,) * (b + 1))) for b in range(n + 1)),
         ((c + 1, eta_symbolic((1,) * a + (2,) + (1,) * (n - 1 - a - c) + (2,) + (1,) * (c + 1)))
          for a in range(n) for c in range(n - a)),
     ))
     h1, h2 = harmonic(n), harmonic(n, 2)
-    rhs = (2 * n + (n + 1) * (h1**2 - 2 * h1 + h2)) / (2 * n * math.factorial(n + 1))
-    return _exact(lhs, rhs)
+    yield (2 * n + (n + 1) * (h1**2 - 2 * h1 + h2)) / (2 * n * math.factorial(n + 1))
 
 
-def _e38(q: int) -> tuple:
+@_check("e38", "weighted", _grid(q=range(7)), lambda q: q + 3)
+def _e38(q: int) -> Iterator[Value]:
     """sum_{a1+a2=q} eta(a1+1, a2+1, 1) + eta(q+1, 1, 1) equals 1/2."""
-    lhs = _eta_sum([*(idx + (1,) for idx in indices(q + 2, 2)), (q + 1, 1, 1)])
-    return _exact(lhs, Fraction(1, 2))
+    yield _eta_sum([*(idx + (1,) for idx in indices(q + 2, 2)), (q + 1, 1, 1)])
+    yield Fraction(1, 2)
 
 
-def _remark_chain(n: int, q: int) -> tuple:
-    """Four independent computations of one quantity, checked pairwise equal:
-
-    A: the hook-shaped eta-enumeration over r+s=n, |a|=q;
-    B: P_{q+1}(H_n^(1..q+1)) / (n n!);
-    C: sum_{|s|=n-1} rho(s_1+1, ..., s_{q+1}+1, s_{q+2}+2);
-    D: sum_{|a|=q+1} eta(a_1+1, ..., a_{n+1}+1).
-    """
-    a_val, b_val = _hook_sides(n, q)
-    c_val = _rho_sum(q + n + 2, q + 2)
-    d_val = _eta_sum(indices(q + n + 2, n + 1))
-    worst = ZetaExpr(0)  # the last nonzero difference from A
-    for v in (b_val, c_val, d_val):
-        diff = ZetaExpr.sum([(1, v), (-1, a_val)])
-        if not diff.is_zero():
-            worst = diff
-    details = {
-        "eta_hook_enumeration": a_val.render(),
-        "bell_closed_form": str(b_val),
-        "rho_enumeration": str(c_val),
-        "eta_flat_enumeration": d_val.render(),
-    }
-    return a_val, d_val, worst.is_zero(), worst, details
+@_check("eta-triple-sum", "weighted", _grid(q=range(1, 7)), lambda q: q + 3)
+def _eta_triple_sum(q: int) -> Iterator[Value]:
+    """sum_{a1+a2=q} eta(a1+1, a2+1, 1) equals its closed form in zeta values."""
+    yield _eta_sum(idx + (1,) for idx in indices(q + 2, 2))
+    yield eta_restricted_triple_sum(q)
 
 
-def _table_outcome(index: str, value, reference) -> tuple:
-    """Compare value(idx) with a printed-value fixture reference(idx)."""
-    idx = tuple(int(x) for x in index.split(","))
-    return _exact(value(idx), reference(idx))
+@_check("suffix-balance", "balance", _grid(q=range(7), n=range(11)), lambda q, n: n)
+def _suffix_balance(q: int, n: int) -> Iterator[Value]:
+    """The suffix-product sum over a_1+...+a_{q+1} = n equals 1."""
+    yield suffix_balance_sum(q, n)
+    yield Fraction(1)
 
 
 # acceptance tolerance of the quadrature check, well above the ~1e-9 floor of
@@ -269,7 +375,28 @@ def _table_outcome(index: str, value, reference) -> tuple:
 _QUADRATURE_TOL = 1e-6
 
 
-def _quadrature_integral(n: int, q: int) -> tuple:
+@dataclass(frozen=True, repr=False)
+class _Quadrature(ApproxReal):
+    """A tanh-sinh value with the level it converged at, its provenance."""
+
+    level: int = 0
+
+
+def _within_tolerance(lhs: ApproxReal, rhs: _Quadrature) -> tuple:
+    """The quadrature check's comparison: the gap may exceed both error
+    bounds by at most the acceptance tolerance."""
+    gap = abs(lhs.value - rhs.value)
+    passed = gap <= mpmath.mpf(_QUADRATURE_TOL) + lhs.error_bound + rhs.error_bound
+    return (
+        bool(passed),
+        ApproxReal(gap, lhs.error_bound + rhs.error_bound, 17),
+        {"quadrature_level": rhs.level, "tolerance": _QUADRATURE_TOL},
+    )
+
+
+@_check("quadrature-integral", "quadrature", _grid(n=range(4), q=range(3)),
+        lambda n, q: n + q + 2, _within_tolerance)
+def _quadrature_integral(n: int, q: int) -> Iterator[Value]:
     """Check the double-integral representation
 
         sum_{|a|=q+1} eta(a_1+1, ..., a_{n+1}+1)
@@ -280,9 +407,8 @@ def _quadrature_integral(n: int, q: int) -> tuple:
     square with integrand (log(1/u))^q (1 - u t2)^(n-1), which tanh-sinh
     handles at both singular corners.
     """
+    yield _eta_sum(indices(q + n + 2, n + 1)).numeric(14)
     import numpy as np
-
-    lhs = _eta_sum(indices(q + n + 2, n + 1)).numeric(14)
 
     def integrand(u, uc, v, vc):
         # uc + vc - uc * vc = 1 - u*v without cancellation
@@ -290,141 +416,8 @@ def _quadrature_integral(n: int, q: int) -> tuple:
 
     value, est, level = integrate_unit_square(integrand, _QUADRATURE_TOL / 4)
     scale = 1.0 / (math.factorial(n) * math.factorial(q))
-    rhs = ApproxReal(mpmath.mpf(value * scale), mpmath.mpf(est * scale * 2 + 1e-14), 17)
-    gap = abs(lhs.value - rhs.value)
-    passed = gap <= mpmath.mpf(_QUADRATURE_TOL) + lhs.error_bound + rhs.error_bound
-    return (
-        lhs,
-        rhs,
-        bool(passed),
-        ApproxReal(gap, lhs.error_bound + rhs.error_bound, 17),
-        {"quadrature_level": level, "tolerance": _QUADRATURE_TOL},
-    )
+    yield _Quadrature(mpmath.mpf(value * scale), mpmath.mpf(est * scale * 2 + 1e-14), 17, level)
 
-
-# --------------------------------------------------------------------------
-# Check registry
-# --------------------------------------------------------------------------
-
-class Check(NamedTuple):
-    """One identity: the suite it runs in, ``outcome(**params)`` returning
-    its report's ``(lhs, rhs, passed, discrepancy, details)``, the parameter
-    grid in report order, and ``weight_of(**params)``, the weight a
-    ``max_weight`` cap compares against.
-
-    Entries call the kernels through this module's globals at call time, so
-    a wrapper patched over a kernel is seen by every check.
-    """
-
-    suite: str
-    outcome: Callable[..., tuple]
-    grid: tuple[dict, ...]
-    weight_of: Callable[..., int]
-
-
-def _grid(**axes: Iterable[int]) -> tuple[dict, ...]:
-    """Every combination of the axes' values, the first axis outermost.  Axes
-    are given ascending, so the first cell holds each axis's least value."""
-    return tuple(dict(zip(axes, cell)) for cell in itertools.product(*axes.values()))
-
-
-def _table_grid(min_last: int) -> tuple[dict, ...]:
-    # the indices of every fixture weight whose last entry is at least min_last
-    return tuple(
-        {"index": ",".join(map(str, idx)), "weight": w}
-        for w in tables.FIXTURE_WEIGHTS
-        for idx in indices(w, last=min_last)
-    )
-
-
-# insertion order is report order: suites run in the order they first
-# appear, and a suite's checks in the order listed (but see _select on tables)
-CHECKS: dict[str, Check] = {
-    "table-rho": Check(
-        "tables",
-        lambda index, weight: _table_outcome(index, rho_exact, tables.rho_reference),
-        _table_grid(2),
-        lambda index, weight: weight,
-    ),
-    "table-eta": Check(
-        "tables",
-        lambda index, weight: _table_outcome(index, eta_symbolic, tables.eta_reference),
-        _table_grid(1),
-        lambda index, weight: weight,
-    ),
-    "rho-sum-fixed-weight": Check(
-        "rho-sum",
-        lambda m, r: _rho_sum_general(m, 0, r - 1),
-        _grid(m=range(11), r=range(1, 7)),
-        lambda m, r: m + r + 1,
-    ),
-    "rho-sum-general": Check(
-        "rho-sum",
-        _rho_sum_general,
-        _grid(r=range(7), s=range(5), q=range(5)),
-        lambda r, s, q: r + s + q + 2,
-    ),
-    "rho-weighted-sum": Check(
-        "rho-sum",
-        _rho_weighted_sum,
-        _grid(n=range(11), q=range(6)),
-        lambda n, q: n + q + 2,
-    ),
-    "rho-eta-connection": Check(
-        "rho-eta",
-        _rho_eta_connection,
-        _grid(q=range(5), r=range(5)),
-        lambda q, r: q + r + 2,
-    ),
-    "eta-hook-sum": Check(
-        "hook",
-        lambda n, q: _exact(*_hook_sides(n, q)),
-        _grid(n=range(1, 6), q=range(4)),
-        lambda n, q: n + q + 2,
-    ),
-    "remark-chain": Check(
-        "hook",
-        _remark_chain,
-        _grid(n=range(1, 5), q=range(4)),
-        lambda n, q: n + q + 2,
-    ),
-    "eta-hook-closed-form": Check(
-        "hook",
-        lambda p, a: _exact(eta_symbolic((p,) + (1,) * a), eta_hook_closed_form(p, a)),
-        _grid(p=range(2, 7), a=range(6)),
-        lambda p, a: p + a,
-    ),
-    "weighted-eta-sum": Check(
-        "weighted",
-        _weighted_eta_sum,
-        _grid(n=range(1, 5), q=range(4)),
-        lambda n, q: n + q + 2,
-    ),
-    "w121": Check("weighted", _w121, _grid(n=range(1, 7)), lambda n: n + 3),
-    "w122": Check("weighted", _w122, _grid(n=range(1, 5)), lambda n: n + 4),
-    "e38": Check("weighted", _e38, _grid(q=range(7)), lambda q: q + 3),
-    "eta-triple-sum": Check(
-        "weighted",
-        lambda q: _exact(
-            _eta_sum(idx + (1,) for idx in indices(q + 2, 2)),
-            eta_restricted_triple_sum(q),
-        ),
-        _grid(q=range(1, 7)),
-        lambda q: q + 3,
-    ),
-    "suffix-balance": Check(
-        "balance",
-        lambda q, n: _exact(suffix_balance_sum(q, n), Fraction(1)),
-        _grid(q=range(7), n=range(11)),
-        lambda q, n: n,
-    ),
-    "quadrature-integral": Check(
-        "quadrature",
-        _quadrature_integral,
-        _grid(n=range(4), q=range(3)),
-        lambda n, q: n + q + 2,
-    ),
-}
 
 # suite name -> its check ids
 SUITES: dict[str, tuple[str, ...]] = {
@@ -465,7 +458,8 @@ def run_check(identity_id: str, **params) -> VerificationReport:
     for key, least in check.grid[0].items():
         if isinstance(least, int) and key in params and params[key] < least:
             raise ValueError(f"{identity_id} needs {key} >= {least}, got {params[key]}")
-    return VerificationReport(identity_id, params, *check.outcome(**params))
+    lhs, *links, rhs = check.sides(**params)
+    return VerificationReport(identity_id, params, lhs, rhs, *check.compare(lhs, rhs, *links))
 
 
 def run_suite(name: str, max_weight: int | None = None) -> list[VerificationReport]:

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import sys
 from fractions import Fraction
 from math import factorial
@@ -115,7 +116,7 @@ class TestFractionReferences:
         grid = CHECKS["rho-weighted-sum"].grid
         for n in range(max(p["n"] for p in grid) + 2):
             for q in range(max(p["q"] for p in grid) + 2):
-                lhs = verify._rho_weighted_sum(n, q)[0]
+                lhs = next(verify._rho_weighted_sum(n, q))
                 assert type(lhs) is Fraction
                 assert lhs == fraction_rho_weighted_lhs(n, q), (n, q)
 
@@ -127,6 +128,96 @@ class TestFractionReferences:
                 assert type(got.constant) is Fraction
                 assert all(type(c) is Fraction for c in got.coeffs.values())
         assert verify._eta_sum([]) == ZetaExpr(0)
+
+
+# every zetalike lru_cache, cleared before each link so that a link runs
+# the code behind a cached value itself
+CACHES = [
+    obj
+    for name, mod in list(sys.modules.items())
+    if name.startswith("zetalike.")
+    for obj in vars(mod).values()
+    if hasattr(obj, "cache_clear") and obj.__module__ == name
+]
+# functions two links of one check may both call, keyed by (check, link, link)
+SHARED_ALLOWED = {
+    # both sides build their exact value as a ZetaExpr
+    ("eta-hook-closed-form", 0, 1): {"zetalike.eta.ZetaExpr.__init__"},
+    ("eta-triple-sum", 0, 1): {"zetalike.eta.ZetaExpr.__init__"},
+    # both sides are certified numeric values, whose bounds are validated
+    ("quadrature-integral", 0, 1): {"zetalike.numeric.ApproxReal.__post_init__"},
+}
+# remark-chain's A and D are two eta enumerations, of the hook-shaped and of
+# the flat indices, by design; B and C must share nothing with either
+SHARED_BY_DESIGN = {("remark-chain", 0, 3)}
+
+
+def _link_calls(identity_id: str, params: dict) -> list[set[str]]:
+    """The zetalike functions each link of one cell calls, in yield order.
+    The sides generators themselves are left out, since a sides generator
+    that delegates with ``yield from`` is resumed for every link."""
+    sides = {check.sides.__code__ for check in CHECKS.values()}
+    calls = []
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("zetalike.") and frame.f_code not in sides:
+            calls[-1].add(f"{module}.{frame.f_code.co_qualname}")
+
+    links = CHECKS[identity_id].sides(**params)
+    while True:
+        for cache in CACHES:
+            cache.cache_clear()
+        calls.append(set())
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            next(links)
+        except StopIteration:
+            return calls[:-1]
+        finally:
+            sys.setprofile(previous)
+
+
+def _shared_calls(identity_id: str, params: dict) -> dict[tuple[int, int], set[str]]:
+    """The functions, outside the allowlists, that two links of one cell both call."""
+    shared = {}
+    for (i, a), (j, b) in itertools.combinations(enumerate(_link_calls(identity_id, params)), 2):
+        if (identity_id, i, j) not in SHARED_BY_DESIGN:
+            common = (a & b) - SHARED_ALLOWED.get((identity_id, i, j), set())
+            if common:
+                shared[i, j] = common
+    return shared
+
+
+class TestIndependentSides:
+    """Each link of a check is computed by code no other link of it calls."""
+
+    @pytest.mark.parametrize("identity_id", list(CHECKS))
+    def test_links_share_no_code(self, identity_id):
+        for p in CHECKS[identity_id].grid:
+            assert _shared_calls(identity_id, p) == {}, p
+
+    def test_a_planted_shared_call_is_reported(self, monkeypatch):
+        star = verify.mzv_star_truncated
+
+        def leaky(*args):
+            verify._rho_sum(2, 1)
+            return star(*args)
+
+        monkeypatch.setattr(verify, "mzv_star_truncated", leaky)
+        assert _shared_calls("rho-sum-general", {"r": 1, "s": 1, "q": 1}) == {
+            (0, 1): {"zetalike.verify._rho_sum"}
+        }
+
+    def test_links_are_recorded_with_cold_caches(self):
+        calls = _link_calls("remark-chain", {"n": 2, "q": 1})
+        assert len(calls) == 4
+        assert "zetalike.eta.partial_fraction_shifted" in calls[0] & calls[3]
+        assert "zetalike.harmonic.bell_polynomial" in calls[1]
+        assert calls[2] == {"zetalike.verify._rho_sum"}
+        # a warm eta cache would hide the kernel from the second recording
+        assert _link_calls("remark-chain", {"n": 2, "q": 1}) == calls
 
 
 class TestHookSum:
@@ -329,9 +420,9 @@ class TestRegistry:
     def test_registry_is_exactly_the_emitted_identities(self, all_reports):
         assert set(CHECKS) == {r.identity_id for r in all_reports}
 
-    def test_outcome_parameters_are_the_grid_keys(self):
+    def test_sides_parameters_are_the_grid_keys(self):
         for cid, check in CHECKS.items():
-            names = list(inspect.signature(check.outcome).parameters)
+            names = list(inspect.signature(check.sides).parameters)
             assert all(list(p) == names for p in check.grid), cid
 
     @pytest.mark.parametrize(
