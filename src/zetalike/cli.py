@@ -22,21 +22,25 @@ import json
 import math
 import sys
 
-import mpmath
-
 from .errors import ZetalikeError
 from .eta import MAX_DIGITS, eta_numeric, eta_symbolic
 from .rho import RhoIndex, indices, rho_exact
 from .verify import SUITES, run_suite, value_to_json
 
 MAX_TABLE_WEIGHT = 12
-# eta of weight 10,000 takes about 0.4 s in either mode; far larger weights
-# run for minutes or end in OverflowError or MemoryError
+# on a 2-vCPU VM eta 10000 takes about 0.15 s symbolic and 0.25 s numeric,
+# and eta 9999,1 about 0.9 s symbolic; far larger weights run for minutes or
+# end in OverflowError or MemoryError
 MAX_ETA_WEIGHT = 10_000
 # partial_fraction_shifted takes about 2 sum_{i<j} s_i s_j big-integer steps,
 # so the weight cap does not bound its time: on a 2-vCPU VM eta 2000,2000
 # (4e6) takes about 4 s, and eta 5000,5000 did not finish in 40 s
 MAX_ETA_WORK = 4_000_000
+# a numeric eta-value evaluates zeta(k) for each k = 2..max(s), or k = s
+# alone at depth 1, and zeta_constant(k, ...) takes about k^2 steps, as its
+# head sits over lcm(1..7)^k: at the default --digits, eta 2000,1 (2.7e9)
+# takes about 4 s on a 2-vCPU VM, and eta 9999,1 (3.3e11) took 249 s
+MAX_ZETA_WORK = 2_700_000_000
 
 
 def _parse_index(text: str) -> tuple[int, ...]:
@@ -120,11 +124,20 @@ def _cmd_eta(args) -> tuple[int, str]:
                 f"has a number of more than {limit} digits, too long to print"
             )
     else:
+        top = max(args.index)
+        zeta_work = sum(k * k for k in (range(2, top + 1) if len(args.index) > 1 else (top,)))
+        if zeta_work > MAX_ZETA_WORK:
+            raise ZetalikeError(
+                f"numeric eta index needs sum of k^2 over its zeta(k) terms at most "
+                f"{MAX_ZETA_WORK}, got {zeta_work}"
+            )
         value = eta_numeric(args.index, mode="fast", tolerance=10.0 ** (-args.digits))
     if args.format == "json":
         return 0, _format("json", _envelope(args.index, value), [])
     if args.mode == "symbolic":
         return 0, f"{value.render(args.render)}\n"
+    import mpmath
+
     return 0, (
         f"{mpmath.nstr(value.value, args.digits)} "
         f"(error <= {mpmath.nstr(value.error_bound, 3)})\n"

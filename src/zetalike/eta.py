@@ -45,8 +45,6 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from typing import Iterable, Mapping
 
-import mpmath
-
 from .errors import InadmissibleIndexError, ToleranceError
 from .harmonic import bell_polynomial, harmonic, harmonic_vector
 from .numeric import ApproxReal, Rational, _lcm_sum, _slack, zeta_constant, zeta_pi_power_factor
@@ -69,6 +67,9 @@ _ORACLE_CAP = 10**7
 # last attempt and by the CLI's --digits: zeta_constant slows sharply past a
 # few hundred digits, and 10.0**-digits underflows to 0.0 from 324 on
 MAX_DIGITS = 300
+# how far past both MAX_DIGITS and the last rung a fast-mode estimate of the
+# digits needed must be to refuse before the ladder's last rung
+_HOPELESS_MARGIN = 4
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,8 @@ class ZetaExpr:
 
         The bound stays small: 10^extra >= 1 + |c|, so |c'| e_z <= 10^-(digits+2).
         """
+        import mpmath
+
         dps, q = digits, self.constant
         with mpmath.mp.workdps(dps + 8):
             value = mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
@@ -396,7 +399,12 @@ def eta_numeric(
     A large constant or coefficient keeps its bound near |value| 10^-(d+4),
     so if none certifies, one last attempt adds the log10(bound/tolerance)
     digits the last bound was short by, plus 1; past MAX_DIGITS it
-    is refused without evaluating.
+    is refused without evaluating.  Each term of the bound at d digits is a
+    fixed multiple of 10^-d or at most 10^-(d+2) (``ZetaExpr.numeric``), so
+    an estimate well past the rung it was made at reads the same at every
+    rung, up to 1 digit of ceiling rounding.  A rung whose estimate exceeds
+    both MAX_DIGITS and the last rung, start + 12, by more than
+    _HOPELESS_MARGIN = 4 digits ends the ladder there with the same refusal.
 
     The oracle refuses tolerances below 1e-12 and term counts above 10**7.
     The factors are streamed one column per j, the pows (n+j-1)^(-s_j) for
@@ -415,22 +423,27 @@ def eta_numeric(
     where relative error fails: at most 10**7 terms, each off by about
     r * 2^-1074.
     """
+    import mpmath
+
     idx = EtaIndex.coerce(idx)
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if mode == "fast":
         start = max(2, int(math.ceil(-math.log10(tolerance))) + 1)
-        for digits in range(start, start + 16, 4):
+        rungs = range(start, start + 16, 4)
+        for digits in rungs:
             value = eta_symbolic(idx).numeric(digits)
             if value.error_bound <= mpmath.mpf(tolerance):
                 return value
-        digits += int(mpmath.ceil(mpmath.log10(value.error_bound / tolerance))) + 1
-        if digits > MAX_DIGITS:
+            needed = digits + int(mpmath.ceil(mpmath.log10(value.error_bound / tolerance))) + 1
+            if needed > max(MAX_DIGITS, rungs[-1]) + _HOPELESS_MARGIN:
+                break
+        if needed > MAX_DIGITS:
             raise ToleranceError(
-                f"could not certify {idx} to {tolerance}: needs {digits} digits "
+                f"could not certify {idx} to {tolerance}: needs {needed} digits "
                 f"(cap {MAX_DIGITS})"
             )
-        value = eta_symbolic(idx).numeric(digits)
+        value = eta_symbolic(idx).numeric(needed)
         if value.error_bound <= mpmath.mpf(tolerance):
             return value
         raise ToleranceError(f"could not certify {idx} to {tolerance}")

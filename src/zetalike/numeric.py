@@ -27,6 +27,11 @@ and Harvey, 2013), the search for N tests each correction by integer
 cross-products, and only the accepted N builds its value, the head over
 lcm(1..N-1)^k.  Value and certificate equal those of a term-by-term
 ``Fraction`` evaluation, so every printed digit and bound is unchanged.
+
+mpmath is imported inside the functions that build or print an
+:class:`ApproxReal`, here and in ``eta``, ``cli`` and ``verify``, on their
+first call, so importing this module (and with it zetalike and its CLI) does
+not load mpmath; only numeric ``eta`` and the ``quadrature`` check pay for it.
 """
 
 from __future__ import annotations
@@ -35,11 +40,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
-
-import mpmath
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ToleranceError
+
+if TYPE_CHECKING:
+    import mpmath
 
 Rational = Fraction
 
@@ -105,6 +111,8 @@ def bernoulli_number(m: int) -> Rational:
 
 def _slack(dps: int, magnitude) -> mpmath.mpf:
     # one conservative rounding allowance for a value computed at dps+8
+    import mpmath
+
     return mpmath.mpf(10) ** (-(dps + 4)) * (1 + abs(magnitude))
 
 
@@ -129,6 +137,8 @@ class ApproxReal:
 
     def to_json_dict(self) -> dict:
         """The value to min(dps, 20) significant digits and the bound to 3."""
+        import mpmath
+
         return {
             "value": mpmath.nstr(self.value, min(self.dps, 20)),
             "error_bound": mpmath.nstr(self.error_bound, 3),
@@ -193,6 +203,8 @@ def zeta_constant(k: int, digits: int) -> ApproxReal:
         raise ValueError(f"zeta_constant needs integer k >= 2, got {k!r} (divergent)")
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
+    import mpmath
+
     val, cert = _zeta_tail_rational(k, digits)
     dps = digits + 10
     with mpmath.mp.workdps(dps + 8):

@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
-import mpmath
-
 from .errors import FixtureError, ZetalikeError
 from .eta import (
     ZetaExpr,
@@ -385,6 +383,8 @@ class _Quadrature(ApproxReal):
 def _within_tolerance(lhs: ApproxReal, rhs: _Quadrature) -> tuple:
     """The quadrature check's comparison: the gap may exceed both error
     bounds by at most the acceptance tolerance."""
+    import mpmath
+
     gap = abs(lhs.value - rhs.value)
     passed = gap <= mpmath.mpf(_QUADRATURE_TOL) + lhs.error_bound + rhs.error_bound
     return (
@@ -408,6 +408,7 @@ def _quadrature_integral(n: int, q: int) -> Iterator[Value]:
     handles at both singular corners.
     """
     yield _eta_sum(indices(q + n + 2, n + 1)).numeric(14)
+    import mpmath
     import numpy as np
 
     def integrand(u, uc, v, vc):

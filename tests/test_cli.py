@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from zetalike import cli, rho_exact
+from zetalike import ZetalikeError, cli, rho_exact
 from zetalike.tables import RHO_TABLE
 
 
@@ -179,6 +179,43 @@ class TestEtaCommand:
             code, out, err = run_capture(capsys, ["eta", "2,3,2", "--mode", mode, "--format", fmt])
             assert (code, out) == (2, "")
             assert err == "error: eta index needs sum of s_i*s_j over i < j at most 11, got 16\n"
+
+    def test_zeta_work_cap_is_inclusive_and_refuses_before_evaluating(self, capsys, monkeypatch):
+        # 2,3,1 evaluates zeta(2) and zeta(3), 2^2 + 3^2 = 13; a depth-1
+        # index evaluates its one zeta(s), s^2
+        monkeypatch.setattr(cli, "MAX_ZETA_WORK", 13)
+        for argv in (["2,3,1", "--mode", "numeric"], ["3", "--mode", "numeric"],
+                     ["2,4,1", "--mode", "symbolic"]):
+            code, out, _ = run_capture(capsys, ["eta", *argv, "--digits", "5"])
+            assert code == 0 and out, argv
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated an index over the zeta work cap")
+
+        monkeypatch.setattr(cli, "eta_numeric", refuse)
+        for index, work in (("2,4,1", 29), ("4", 16)):
+            for fmt in ("text", "json"):
+                code, out, err = run_capture(
+                    capsys, ["eta", index, "--mode", "numeric", "--format", fmt])
+                assert (code, out) == (2, "")
+                assert err == ("error: numeric eta index needs sum of k^2 over its zeta(k) "
+                               f"terms at most 13, got {work}\n")
+
+    def test_zeta_work_cap_keeps_depth_one_and_refuses_many_large_zeta_terms(
+        self, capsys, monkeypatch
+    ):
+        # eta 9999,1 --mode numeric ran for minutes; eta 2000,1 (about 4 s)
+        # and depth 1 up to the weight cap stay accepted
+        def reached(*args, **kwargs):
+            raise ZetalikeError("reached")
+
+        monkeypatch.setattr(cli, "eta_numeric", reached)
+        for index in ("2000,1", "1,2000", str(cli.MAX_ETA_WEIGHT)):
+            code, _, err = run_capture(capsys, ["eta", index, "--mode", "numeric"])
+            assert (code, err) == (2, "error: reached\n"), index
+        for index in ("2008,1", "9999,1", "1,1,3000"):
+            code, _, err = run_capture(capsys, ["eta", index, "--mode", "numeric", "--digits", "5"])
+            assert code == 2 and "zeta(k) terms at most" in err, index
 
     def test_divergent_index(self, capsys):
         code, _, err = run_capture(capsys, ["eta", "1"])

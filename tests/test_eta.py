@@ -354,17 +354,28 @@ class TestEtaNumeric:
             assert abs(exact.value - want) <= exact.error_bound
             assert abs(fast.value - want) <= fast.error_bound
 
-    def test_fast_refuses_a_last_attempt_past_the_digit_cap(self, monkeypatch):
-        # (31, 31) needs 27 digits; with a cap of 26 the sized attempt is
-        # refused before it evaluates, after the 4 ladder steps
+    @pytest.mark.parametrize("idx, tolerance, cap, needs, calls_made", [
+        # needs 27 digits: the sized attempt is refused before it evaluates,
+        # after the 4 ladder steps
+        ((31, 31), 1e-12, 26, 27, [13, 17, 21, 25]),
+        # needs 29, within 4 digits of the last rung 25: the ladder runs on
+        ((35, 35), 1e-12, 26, 29, [13, 17, 21, 25]),
+        # needs 32, past the last rung by more than 4: refused after one rung
+        ((40, 40), 1e-12, 26, 32, [13]),
+        # the real cap: past 300 and the last rung 303 by more than 4
+        ((40, 40), 1e-290, 300, 310, [291]),
+    ])
+    def test_fast_refuses_a_last_attempt_past_the_digit_cap(
+        self, monkeypatch, idx, tolerance, cap, needs, calls_made
+    ):
         calls = []
         numeric = ZetaExpr.numeric
-        monkeypatch.setattr(zetalike.eta, "MAX_DIGITS", 26)
+        monkeypatch.setattr(zetalike.eta, "MAX_DIGITS", cap)
         monkeypatch.setattr(ZetaExpr, "numeric",
                             lambda self, digits: calls.append(digits) or numeric(self, digits))
-        with pytest.raises(ToleranceError, match="needs 27 digits"):
-            eta_numeric((31, 31), "fast", 1e-12)
-        assert calls == [13, 17, 21, 25]
+        with pytest.raises(ToleranceError, match=f"needs {needs} digits \\(cap {cap}\\)"):
+            eta_numeric(idx, "fast", tolerance)
+        assert calls == calls_made
 
     def test_oracle_tolerance_cap(self):
         # weight 2 at 1e-8 needs 2*10**8 terms, past the 10**7 cap

@@ -118,20 +118,37 @@ def _fresh(code: str) -> str:
     return proc.stdout
 
 
-def test_numpy_is_loaded_only_by_the_quadrature_suite():
+def test_import_loads_no_third_party_module():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import zetalike.cli\n"
+        "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "             - set(sys.stdlib_module_names)))\n"
+    )
+    assert _fresh(code).strip() == "['zetalike']"
+
+
+def test_mpmath_and_numpy_load_only_on_the_numeric_paths():
+    # one process, in this order, as a loaded module stays loaded: the exact
+    # commands load neither, eta --mode numeric loads mpmath, and only the
+    # quadrature suite loads numpy
+    exact = [["rho", "2,3"], ["eta", "2,1"], ["table", "eta", "--weight", "4"],
+             *(["verify", "--suite", s] for s in
+               ("tables", "rho-sum", "rho-eta", "hook", "weighted", "balance"))]
+    numeric = [["eta", "2,1", "--mode", "numeric"], ["verify", "--suite", "quadrature"]]
     code = (
         "import contextlib, io, sys\n"
         "import zetalike.cli as cli\n"
         "loaded = []\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for argv in (['rho', '2,3'], ['eta', '2,1'], ['eta', '2,1', '--mode', 'numeric'],\n"
-        "                 ['table', 'eta', '--weight', '4'], ['verify', '--suite', 'tables'],\n"
-        "                 ['verify', '--suite', 'quadrature']):\n"
+        f"    for argv in {exact + numeric!r}:\n"
         "        assert cli.run(argv) == 0, argv\n"
-        "        loaded.append('numpy' in sys.modules)\n"
+        "        loaded.append(('mpmath' in sys.modules, 'numpy' in sys.modules))\n"
         "print(loaded)\n"
     )
-    assert _fresh(code).strip() == str([False] * 5 + [True])
+    want = [(False, False)] * len(exact) + [(True, False), (True, True)]
+    assert _fresh(code).strip() == str(want)
 
 
 def test_import_loads_every_module_the_tracer_patches():
