@@ -63,13 +63,10 @@ __all__ = [
 
 # the most terms the series oracle sums
 _ORACLE_CAP = 10**7
-# the most digits a numeric eta-value is certified to, in fast mode's sized
-# last attempt and by the CLI's --digits: zeta_constant slows sharply past a
-# few hundred digits, and 10.0**-digits underflows to 0.0 from 324 on
+# the most digits the CLI's --digits takes and fast mode evaluates at (or start
+# + 12, if more): zeta_constant slows sharply past a few hundred digits, and
+# 10.0**-digits underflows to 0.0 from 324 on
 MAX_DIGITS = 300
-# how far past both MAX_DIGITS and the last rung a fast-mode estimate of the
-# digits needed must be to refuse before the ladder's last rung
-_HOPELESS_MARGIN = 4
 
 
 @dataclass(frozen=True)
@@ -172,25 +169,31 @@ class ZetaExpr:
     # ---- evaluation / rendering ----
 
     def numeric(self, digits: int = 20) -> ApproxReal:
-        """Evaluate with certified zeta constants: |value - self| <= error_bound.
+        """Evaluate with certified zeta constants: |value - self| <= error_bound
+        <= C 10^-digits, C read off the exact coefficients alone.
 
         A step at precision d runs at d + 8 digits, where a rounding moves x
         by at most u |x|, u = 2^-prec < 1.5 * 10^-(d+9).  ``_slack(d, x)`` =
         10^-(d+4) (1 + |x|) exceeds 10^4 u (1 + |x|), which covers the
-        roundings of x and of the bound terms, all below 1 + |x|.
+        roundings of x and of the bound terms, all below 1 + |x|.  Up to those
+        roundings, each step adds the share of C 10^-digits after its colon.
 
         1. The constant q' = num / den, three roundings, is within
-           _slack(digits, q') of q.
+           _slack(digits, q') of q: 10^-4 (1 + |q|).
         2. For a term c zeta(k), z = zeta_constant(k, digits + extra + 2)
-           has |z' - zeta(k)| <= e_z, and c' converts as in 1 with
-           e_c = _slack(z.dps, c').  Since zeta(k) c - z'c' =
-           z' dc + c' dz + dz dc, the product rule on the computed values
-           gives |z'| e_c + |c'| e_z + e_z e_c, and rounding z'c' adds
-           _slack(z.dps, z'c').
+           (``_size``; 1 + |c| <= 10^extra) has |z' - zeta(k)| <= e_z, |z'| <
+           1.65 and z.dps = digits + extra + 12, and c' converts as in 1 with
+           e_c = _slack(z.dps, c').  Since zeta(k) c - z'c' = z' dc + c' dz
+           + dz dc, the bound is |z'| e_c + |c'| e_z + e_z e_c, plus
+           _slack(z.dps, z'c') for rounding z'c': 10^-2 |c| / 10^extra from
+           |c'| e_z and under 3.4 * 10^-16 from the rest.
         3. The running sum moves to d = max(d, z.dps), and its bound gains
-           the term's bound and _slack(d, sum) for rounding the sum.
+           the term's bound and _slack(d, sum) for rounding the sum: after j
+           terms d >= digits + 12 + extra_i (i <= j) and |sum| <= |q| + 1.65
+           sum_{i<=j} |c_i|, so ((1 + |q|) + 1.65 j) 10^-16.
 
-        The bound stays small: 10^extra >= 1 + |c|, so |c'| e_z <= 10^-(digits+2).
+        Over n terms, as 0.825 (n + 1) + 3.4 <= n + 5, C = 10^-4 (1 + |q|) +
+        10^-2 sum |c| / 10^extra + 10^-16 n ((1 + |q|) + n + 5).
         """
         import mpmath
 
@@ -199,12 +202,7 @@ class ZetaExpr:
             value = mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
             bound = _slack(dps, value)
         for k, c in self._items:
-            try:
-                mag = abs(float(c))
-            except OverflowError:  # past float range: |c| < its integer part + 1
-                mag = abs(c.numerator) // c.denominator + 1
-            extra = max(0, int(math.ceil(math.log10(1 + mag))))
-            z = zeta_constant(k, digits + extra + 2)
+            z = zeta_constant(k, digits + _size(c)[1] + 2)
             with mpmath.mp.workdps(z.dps + 8):
                 cv = mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
                 ce = _slack(z.dps, cv)
@@ -216,6 +214,25 @@ class ZetaExpr:
                 value = value + term
                 bound = bound + term_bound + _slack(dps, value)
         return ApproxReal(value, bound, dps)
+
+    def log10_bound_scale(self) -> float:
+        """An upper bound on log10 of :meth:`numeric`'s C, sized in floats.
+
+        With a = 10^-4 + 10^-16 n, lg = log10 |q| and t = max(lg, 0), C =
+        10^t (a 10^(lg - t) + (C - a |q|) 10^-t): no power leaves float range,
+        and one that underflows is under 10^-300 C.  The pad 1 + 10^-6 + 10^-9 n
+        covers the fewer than 2n + 10 roundings of u < 1.5 * 10^-10 behind each
+        piece of the bound, a factor under 1 + 4 * 10^-10 (n + 5), and the
+        float steps here, each a few ulps of a log10 below 10^5.
+        """
+        n = len(self._items)
+        a = 1e-4 + 1e-16 * n
+        r = a + 1e-16 * n * (n + 5) + 1e-2 * math.fsum(
+            10.0 ** (lg - extra) for lg, extra in map(_size, self.coeffs.values()))
+        lg = _size(self.constant)[0] if self.constant else -math.inf
+        top = max(lg, 0.0)
+        return top + math.log10((a * 10.0 ** (lg - top) + r * 10.0 ** -top)
+                                * (1 + 1e-6 + 1e-9 * n))
 
     @staticmethod
     def _fmt_term(mag: Fraction, symbol: str) -> str:
@@ -269,6 +286,17 @@ class ZetaExpr:
             "constant": str(self.constant),
             "zeta": {str(k): str(c) for k, c in self._items},
         }
+
+
+def _size(c: Rational) -> tuple[float, int]:
+    # (log10 |c|, extra) for c != 0: ZetaExpr.numeric takes zeta(k) for a term
+    # c zeta(k) to extra = ceil(log10(1 + |c|)) >= 0 digits past its target
+    try:
+        mag = abs(float(c))
+    except OverflowError:  # past float range: |c| < its integer part + 1
+        mag = abs(c.numerator) // c.denominator + 1
+    extra = max(0, math.ceil(math.log10(1 + mag)))
+    return math.log10(abs(c.numerator)) - math.log10(c.denominator), extra
 
 
 def _from_pairs(pairs: Mapping[int, list[tuple[int, int]]]) -> ZetaExpr:
@@ -394,17 +422,11 @@ def eta_numeric(
     mode="oracle" sums the defining series directly to N terms, N chosen so
     the integral tail estimate N^(1-w)/(w-1) (w = weight) is below
     tolerance/2; this is deliberately independent of the symbolic reduction.
-    mode="fast" evaluates :func:`eta_symbolic` with certified zeta constants.
-    It tries 4 precisions, 4 digits apart, from 1 digit past the tolerance.
-    A large constant or coefficient keeps its bound near |value| 10^-(d+4),
-    so if none certifies, one last attempt adds the log10(bound/tolerance)
-    digits the last bound was short by, plus 1; past MAX_DIGITS it
-    is refused without evaluating.  Each term of the bound at d digits is a
-    fixed multiple of 10^-d or at most 10^-(d+2) (``ZetaExpr.numeric``), so
-    an estimate well past the rung it was made at reads the same at every
-    rung, up to 1 digit of ceiling rounding.  A rung whose estimate exceeds
-    both MAX_DIGITS and the last rung, start + 12, by more than
-    _HOPELESS_MARGIN = 4 digits ends the ladder there with the same refusal.
+    mode="fast" evaluates :func:`eta_symbolic` with certified zeta constants
+    once, at digits = max(start, ceil(log10(C / tolerance))): start is 1 digit
+    past the tolerance, and error_bound <= C 10^-digits for the C sized by
+    ``ZetaExpr.log10_bound_scale``.  Past both MAX_DIGITS and start + 12 it is
+    refused before anything is evaluated.
 
     The oracle refuses tolerances below 1e-12 and term counts above 10**7.
     The factors are streamed one column per j, the pows (n+j-1)^(-s_j) for
@@ -430,20 +452,14 @@ def eta_numeric(
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if mode == "fast":
         start = max(2, int(math.ceil(-math.log10(tolerance))) + 1)
-        rungs = range(start, start + 16, 4)
-        for digits in rungs:
-            value = eta_symbolic(idx).numeric(digits)
-            if value.error_bound <= mpmath.mpf(tolerance):
-                return value
-            needed = digits + int(mpmath.ceil(mpmath.log10(value.error_bound / tolerance))) + 1
-            if needed > max(MAX_DIGITS, rungs[-1]) + _HOPELESS_MARGIN:
-                break
-        if needed > MAX_DIGITS:
+        expr = eta_symbolic(idx)
+        digits = max(start, math.ceil(expr.log10_bound_scale() - math.log10(tolerance)))
+        if digits > max(MAX_DIGITS, start + 12):
             raise ToleranceError(
-                f"could not certify {idx} to {tolerance}: needs {needed} digits "
+                f"could not certify {idx} to {tolerance}: needs {digits} digits "
                 f"(cap {MAX_DIGITS})"
             )
-        value = eta_symbolic(idx).numeric(needed)
+        value = expr.numeric(digits)
         if value.error_bound <= mpmath.mpf(tolerance):
             return value
         raise ToleranceError(f"could not certify {idx} to {tolerance}")

@@ -217,6 +217,13 @@ class TestEtaCommand:
             code, _, err = run_capture(capsys, ["eta", index, "--mode", "numeric", "--digits", "5"])
             assert code == 2 and "zeta(k) terms at most" in err, index
 
+    def test_numeric_refuses_an_index_needing_digits_past_the_cap(self, capsys):
+        # passes every input guard; once asked zeta(k) for about 615 digits
+        code, out, err = run_capture(capsys, ["eta", "1000,1000", "--mode", "numeric"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: could not certify (1000, 1000) to 1e-12: needs ")
+        assert err.endswith(" digits (cap 300)\n") and err.count("\n") == 1
+
     def test_divergent_index(self, capsys):
         code, _, err = run_capture(capsys, ["eta", "1"])
         assert code == 2

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import tracemalloc
@@ -336,15 +337,25 @@ class TestEtaNumeric:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(idx=st.integers(2, 10).flatmap(lambda w: st.sampled_from(tuple(indices(w)))),
            digits=st.integers(1, 300))
-    # constants near 1e17 that the 4-step ladder cannot certify alone
+    # constants near 1e17 that need 13 digits past the tolerance
     @example(idx=(31, 31), digits=12)
     @example(idx=(35, 35), digits=12)
     def test_bounds_hold_against_mpmath(self, idx, digits):
         expr = eta_symbolic(idx)
         tolerance = 10.0**-digits
         exact = expr.numeric(digits)
-        fast = eta_numeric(idx, "fast", tolerance)
+        calls = []
+        numeric = ZetaExpr.numeric
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ZetaExpr, "numeric",
+                          lambda self, d: calls.append(d) or numeric(self, d))
+            fast = eta_numeric(idx, "fast", tolerance)
         assert fast.error_bound <= tolerance
+        # the sized bound C 10^-d holds at start = digits + 1 and at the sized d
+        (sized,) = calls
+        scale = expr.log10_bound_scale()
+        for d, got in ((digits + 1, expr.numeric(digits + 1)), (sized, fast)):
+            assert got.error_bound <= mpmath.mpf(10) ** (scale - d)
         with mpmath.mp.workdps(2 * digits + 40):
             q = expr.constant
             want = mpmath.mpf(q.numerator) / q.denominator + mpmath.fsum(
@@ -354,28 +365,76 @@ class TestEtaNumeric:
             assert abs(exact.value - want) <= exact.error_bound
             assert abs(fast.value - want) <= fast.error_bound
 
-    @pytest.mark.parametrize("idx, tolerance, cap, needs, calls_made", [
-        # needs 27 digits: the sized attempt is refused before it evaluates,
-        # after the 4 ladder steps
-        ((31, 31), 1e-12, 26, 27, [13, 17, 21, 25]),
-        # needs 29, within 4 digits of the last rung 25: the ladder runs on
-        ((35, 35), 1e-12, 26, 29, [13, 17, 21, 25]),
-        # needs 32, past the last rung by more than 4: refused after one rung
-        ((40, 40), 1e-12, 26, 32, [13]),
-        # the real cap: past 300 and the last rung 303 by more than 4
-        ((40, 40), 1e-290, 300, 310, [291]),
+    @pytest.mark.parametrize("idx, tolerance, cap, needs", [
+        # a constant near 1e17 sizes 26 digits, 13 past start = 13: refused
+        # under a cap of 25 = start + 12, evaluated under 26 (see below)
+        ((31, 31), 1e-12, 25, 26),
+        ((40, 40), 1e-12, 26, 31),
+        # past the real cap and start + 12 = 303
+        ((40, 40), 1e-290, 300, 309),
+        ((520, 520), 1e-12, 300, 320),
+        # asked zeta(k) for about 615 digits and did not finish in 900 s
+        ((1000, 1000), 1e-12, 300, 609),
     ])
-    def test_fast_refuses_a_last_attempt_past_the_digit_cap(
-        self, monkeypatch, idx, tolerance, cap, needs, calls_made
+    def test_fast_refuses_past_the_digit_cap_without_evaluating(
+        self, monkeypatch, idx, tolerance, cap, needs
     ):
+        calls = []
+        if cap != 300:  # 300 is the real cap, left in place
+            monkeypatch.setattr(zetalike.eta, "MAX_DIGITS", cap)
+        monkeypatch.setattr(ZetaExpr, "numeric", lambda self, digits: calls.append(digits))
+        monkeypatch.setattr(zetalike.eta, "zeta_constant", lambda *args: calls.append(args))
+        with pytest.raises(ToleranceError, match=f"needs {needs} digits \\(cap {cap}\\)"):
+            eta_numeric(idx, "fast", tolerance)
+        assert calls == []
+
+    @pytest.mark.parametrize("idx, cap, sized", [
+        ((31, 31), 26, 26),
+        # start + 12 = 25 is evaluated past the cap
+        ((30, 30), 24, 25),
+    ])
+    def test_fast_evaluates_once_at_the_sized_digits(self, monkeypatch, idx, cap, sized):
         calls = []
         numeric = ZetaExpr.numeric
         monkeypatch.setattr(zetalike.eta, "MAX_DIGITS", cap)
         monkeypatch.setattr(ZetaExpr, "numeric",
                             lambda self, digits: calls.append(digits) or numeric(self, digits))
-        with pytest.raises(ToleranceError, match=f"needs {needs} digits \\(cap {cap}\\)"):
-            eta_numeric(idx, "fast", tolerance)
-        assert calls == calls_made
+        assert eta_numeric(idx, "fast", 1e-12).error_bound <= 1e-12
+        assert calls == [sized]
+
+    @pytest.mark.parametrize("idx", [(2,), (2, 1), (1, 2, 3, 1), (31, 31), (300, 1), (520, 520)])
+    def test_bound_scale_sizes_the_proven_constant(self, idx):
+        # C of ZetaExpr.numeric's docstring in exact arithmetic, with extra
+        # the least e >= 0 with 1 + |c| <= 10^e, against the float sizing
+        expr = eta_symbolic(idx)
+        q, coeffs = abs(expr.constant), [abs(c) for c in expr.coeffs.values()]
+        n = len(coeffs)
+        zeta_share = 0
+        for c in coeffs:
+            extra = 0
+            while 10**extra < 1 + c:
+                extra += 1
+            zeta_share += c / 10**extra
+        exact = ((1 + q) / 10**4 + zeta_share / 100 + Fraction(n, 10**16) * (1 + q + n + 5))
+        log_exact = math.log10(exact.numerator) - math.log10(exact.denominator)
+        assert log_exact <= expr.log10_bound_scale() <= log_exact + 1e-5
+
+    def test_fast_sizes_weights_up_to_10_at_the_start_digits(self, monkeypatch):
+        # the sizing alone, nothing evaluated: every index of weight 2..10
+        # (the numeric benchmark's 2..9 among them) certifies at start =
+        # digits + 1, 1 digit past the tolerance
+        class Sized(Exception):
+            pass
+
+        def sized(self, digits):
+            raise Sized(digits)
+
+        monkeypatch.setattr(ZetaExpr, "numeric", sized)
+        for idx in (c for w in range(2, 11) for c in compositions(w)):
+            for digits in (1, 12, 20, 150, 299, 300):
+                with pytest.raises(Sized) as got:
+                    eta_numeric(idx, "fast", 10.0**-digits)
+                assert got.value.args == (digits + 1,), (idx, digits)
 
     def test_oracle_tolerance_cap(self):
         # weight 2 at 1e-8 needs 2*10**8 terms, past the 10**7 cap
