@@ -30,7 +30,10 @@ from .verify import SUITES, run_suite, value_to_json
 MAX_TABLE_WEIGHT = 12
 # on a 2-vCPU VM eta 10000 takes about 0.15 s symbolic and 0.25 s numeric,
 # and eta 9999,1 about 0.9 s symbolic; far larger weights run for minutes or
-# end in OverflowError or MemoryError
+# end in OverflowError or MemoryError.  With --render pi, eta 10000 runs about
+# 160 s and eta 4000 about 9 s before the value is refused as too long to
+# print: zeta_pi_power_factor(k) first builds a k/2-entry tangent-number
+# table, O(k^2) big-integer steps
 MAX_ETA_WEIGHT = 10_000
 # partial_fraction_shifted takes about 2 sum_{i<j} s_i s_j big-integer steps,
 # so the weight cap does not bound its time: on a 2-vCPU VM eta 2000,2000
@@ -39,7 +42,9 @@ MAX_ETA_WORK = 4_000_000
 # a numeric eta-value evaluates zeta(k) for each k = 2..max(s), or k = s
 # alone at depth 1, and zeta_constant(k, ...) takes about k^2 steps, as its
 # head sits over lcm(1..7)^k: at the default --digits, eta 2000,1 (2.7e9)
-# takes about 4 s on a 2-vCPU VM, and eta 9999,1 (3.3e11) took 249 s
+# takes about 4 s on a 2-vCPU VM, and eta 9999,1 (3.3e11) took 249 s.  Those
+# times hold at the default --digits only: at --digits 300, eta 500,1 takes
+# 2.9 s and eta 2000,1 6.5 s
 MAX_ZETA_WORK = 2_700_000_000
 
 

@@ -181,12 +181,12 @@ class ZetaExpr:
         1. The constant q' = num / den, three roundings, is within
            _slack(digits, q') of q: 10^-4 (1 + |q|).
         2. For a term c zeta(k), z = zeta_constant(k, digits + extra + 2)
-           (``_size``; 1 + |c| <= 10^extra) has |z' - zeta(k)| <= e_z, |z'| <
-           1.65 and z.dps = digits + extra + 12, and c' converts as in 1 with
-           e_c = _slack(z.dps, c').  Since zeta(k) c - z'c' = z' dc + c' dz
-           + dz dc, the bound is |z'| e_c + |c'| e_z + e_z e_c, plus
-           _slack(z.dps, z'c') for rounding z'c': 10^-2 |c| / 10^extra from
-           |c'| e_z and under 3.4 * 10^-16 from the rest.
+           (``_extra(c)``, the least with 1 + |c| <= 10^extra) has |z' -
+           zeta(k)| <= e_z, |z'| < 1.65 and z.dps = digits + extra + 12, and
+           c' converts as in 1 with e_c = _slack(z.dps, c').  Since zeta(k) c
+           - z'c' = z' dc + c' dz + dz dc, the bound is |z'| e_c + |c'| e_z +
+           e_z e_c, plus _slack(z.dps, z'c') for rounding z'c': 10^-2 |c| /
+           10^extra from |c'| e_z and under 3.4 * 10^-16 from the rest.
         3. The running sum moves to d = max(d, z.dps), and its bound gains
            the term's bound and _slack(d, sum) for rounding the sum: after j
            terms d >= digits + 12 + extra_i (i <= j) and |sum| <= |q| + 1.65
@@ -202,7 +202,7 @@ class ZetaExpr:
             value = mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
             bound = _slack(dps, value)
         for k, c in self._items:
-            z = zeta_constant(k, digits + _size(c)[1] + 2)
+            z = zeta_constant(k, digits + _extra(c) + 2)
             with mpmath.mp.workdps(z.dps + 8):
                 cv = mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
                 ce = _slack(z.dps, cv)
@@ -215,24 +215,17 @@ class ZetaExpr:
                 bound = bound + term_bound + _slack(dps, value)
         return ApproxReal(value, bound, dps)
 
-    def log10_bound_scale(self) -> float:
-        """An upper bound on log10 of :meth:`numeric`'s C, sized in floats.
-
-        With a = 10^-4 + 10^-16 n, lg = log10 |q| and t = max(lg, 0), C =
-        10^t (a 10^(lg - t) + (C - a |q|) 10^-t): no power leaves float range,
-        and one that underflows is under 10^-300 C.  The pad 1 + 10^-6 + 10^-9 n
-        covers the fewer than 2n + 10 roundings of u < 1.5 * 10^-10 behind each
-        piece of the bound, a factor under 1 + 4 * 10^-10 (n + 5), and the
-        float steps here, each a few ulps of a log10 below 10^5.
-        """
-        n = len(self._items)
-        a = 1e-4 + 1e-16 * n
-        r = a + 1e-16 * n * (n + 5) + 1e-2 * math.fsum(
-            10.0 ** (lg - extra) for lg, extra in map(_size, self.coeffs.values()))
-        lg = _size(self.constant)[0] if self.constant else -math.inf
-        top = max(lg, 0.0)
-        return top + math.log10((a * 10.0 ** (lg - top) + r * 10.0 ** -top)
-                                * (1 + 1e-6 + 1e-9 * n))
+    def bound_scale(self) -> Rational:
+        """:meth:`numeric`'s C, exactly, times 1 + 10^-9 (n + 5): the pad covers
+        the fewer than 2n + 10 roundings of u < 1.5 * 10^-10 behind each piece
+        of the computed bound, a factor under 1 + 4 * 10^-10 (n + 5)."""
+        n, q = len(self._items), self.constant
+        one_q = q.denominator + abs(q.numerator)  # (1 + |q|) q.denominator
+        num, den = _lcm_sum([(one_q, q.denominator * 10**4),
+                             (n * (one_q + (n + 5) * q.denominator), q.denominator * 10**16),
+                             *((abs(c.numerator), c.denominator * 10**(_extra(c) + 2))
+                               for _, c in self._items)])
+        return Fraction(num * (10**9 + n + 5), den * 10**9)
 
     @staticmethod
     def _fmt_term(mag: Fraction, symbol: str) -> str:
@@ -288,15 +281,13 @@ class ZetaExpr:
         }
 
 
-def _size(c: Rational) -> tuple[float, int]:
-    # (log10 |c|, extra) for c != 0: ZetaExpr.numeric takes zeta(k) for a term
-    # c zeta(k) to extra = ceil(log10(1 + |c|)) >= 0 digits past its target
-    try:
-        mag = abs(float(c))
-    except OverflowError:  # past float range: |c| < its integer part + 1
-        mag = abs(c.numerator) // c.denominator + 1
-    extra = max(0, math.ceil(math.log10(1 + mag)))
-    return math.log10(abs(c.numerator)) - math.log10(c.denominator), extra
+def _extra(c: Rational) -> int:
+    # the least e >= 0 with 1 + |c| <= 10^e, ZetaExpr.numeric's extra digits
+    # for a term c zeta(k).  1 + |c| = top / den > 2^(b - 1), b the bit-length
+    # difference, and 1233 / 4096 < log10 2: the first guess is not too high
+    top, den = c.denominator + abs(c.numerator), c.denominator
+    guess = max(0, (top.bit_length() - den.bit_length() - 1) * 1233 >> 12)
+    return next(e for e in itertools.count(guess) if top <= 10**e * den)
 
 
 def _from_pairs(pairs: Mapping[int, list[tuple[int, int]]]) -> ZetaExpr:
@@ -423,10 +414,10 @@ def eta_numeric(
     the integral tail estimate N^(1-w)/(w-1) (w = weight) is below
     tolerance/2; this is deliberately independent of the symbolic reduction.
     mode="fast" evaluates :func:`eta_symbolic` with certified zeta constants
-    once, at digits = max(start, ceil(log10(C / tolerance))): start is 1 digit
-    past the tolerance, and error_bound <= C 10^-digits for the C sized by
-    ``ZetaExpr.log10_bound_scale``.  Past both MAX_DIGITS and start + 12 it is
-    refused before anything is evaluated.
+    once, at the least digits >= start with C 10^-digits <= tolerance, compared
+    in integers: start is 1 digit past the tolerance, and error_bound <= C
+    10^-digits for C = ``ZetaExpr.bound_scale()``.  Past both MAX_DIGITS and
+    start + 12 it is refused before anything is evaluated.
 
     The oracle refuses tolerances below 1e-12 and term counts above 10**7.
     The factors are streamed one column per j, the pows (n+j-1)^(-s_j) for
@@ -453,7 +444,10 @@ def eta_numeric(
     if mode == "fast":
         start = max(2, int(math.ceil(-math.log10(tolerance))) + 1)
         expr = eta_symbolic(idx)
-        digits = max(start, math.ceil(expr.log10_bound_scale() - math.log10(tolerance)))
+        # the least digits >= start with C 10^-digits <= tolerance = a / b
+        scale, (a, b) = expr.bound_scale(), tolerance.as_integer_ratio()
+        digits = next(d for d in itertools.count(start)
+                      if scale.numerator * b <= a * scale.denominator * 10**d)
         if digits > max(MAX_DIGITS, start + 12):
             raise ToleranceError(
                 f"could not certify {idx} to {tolerance}: needs {digits} digits "

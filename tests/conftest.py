@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import ceil, comb, factorial, fsum, log10, prod
+from math import comb, factorial, fsum, prod
 
 import mpmath
 import pytest
@@ -277,11 +277,10 @@ def algebra_zeta_numeric(expr, digits: int) -> tuple:
     |ab - a'b'| <= |a'| e_b + |b'| e_a + e_a e_b."""
     out = _algebra_rational(expr.constant, digits)
     for k, c in sorted(expr.coeffs.items()):
-        try:
-            mag = abs(float(c))
-        except OverflowError:
-            mag = abs(c.numerator) // c.denominator + 1
-        z = zeta_constant(k, digits + max(0, ceil(log10(1 + mag))) + 2)
+        extra = 0  # the least extra >= 0 with 1 + |c| <= 10^extra
+        while 10**extra < 1 + abs(c):
+            extra += 1
+        z = zeta_constant(k, digits + extra + 2)
         product = _algebra_mul((z.value, z.error_bound, z.dps), _algebra_rational(c, z.dps))
         out = _algebra_add(out, product)
     return out

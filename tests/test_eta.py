@@ -1,8 +1,8 @@
-import math
 import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -117,11 +117,38 @@ class TestZetaExpr:
 
     @pytest.mark.parametrize("k, c", [(2, Fraction(10**309)), (3, Fraction(-3 * 10**320, 7))])
     def test_numeric_coefficient_beyond_float_range(self, k, c):
-        # float(c) overflows here; the working precision comes from c's integer part
+        # c is past float range: its 310 and 320 extra digits come from
+        # integer comparisons alone
         val = ZetaExpr(1, {k: c}).numeric(5)
         with mpmath.mp.workdps(340):
             want = 1 + mpmath.mpf(c.numerator) / c.denominator * mpmath.zeta(k)
             assert abs(val.value - want) <= val.error_bound
+
+    @pytest.mark.parametrize("c", [
+        10**15, 10**16, -10**16, 99 + Fraction(1, 10**20), 10**17 - 1 + Fraction(1, 10**20),
+        10**309, Fraction(-3 * 10**320, 7), 10**4000 + Fraction(1, 3), Fraction(1, 3), 9, 10, 0,
+    ], ids=["1e15", "1e16", "-1e16", "99+1e-20", "1e17-1+1e-20", "1e309", "-3e320/7",
+            "1e4000+1/3", "1/3", "9", "10", "0"])
+    def test_extra_is_the_least_power_of_ten_past_one_plus_c(self, c):
+        e = zetalike.eta._extra(c)
+        assert 1 + abs(c) <= 10**e
+        assert e == 0 or 10**(e - 1) < 1 + abs(c)
+
+    def test_extra_starts_from_the_bit_lengths(self):
+        # three comparisons against 10^e den for a 4001-digit c, not a scan up
+        # from e = 0; each multiplies by the (counted) denominator
+        class Den(int):
+            products = 0
+
+            def __mul__(self, other):
+                Den.products += 1
+                return int(self) * other
+
+            __rmul__ = __mul__
+
+        c = SimpleNamespace(numerator=3 * 10**4000 + 1, denominator=Den(3))
+        assert zetalike.eta._extra(c) == 4001
+        assert Den.products <= 3
 
     @pytest.mark.parametrize("digits", [1, 2, 5, 12, 14, 20, 57, 150, 299])
     def test_numeric_matches_algebra_reference_on_eta_values(self, digits):
@@ -353,9 +380,10 @@ class TestEtaNumeric:
         assert fast.error_bound <= tolerance
         # the sized bound C 10^-d holds at start = digits + 1 and at the sized d
         (sized,) = calls
-        scale = expr.log10_bound_scale()
+        scale = expr.bound_scale()
         for d, got in ((digits + 1, expr.numeric(digits + 1)), (sized, fast)):
-            assert got.error_bound <= mpmath.mpf(10) ** (scale - d)
+            man, exp = got.error_bound.man_exp
+            assert man * Fraction(2) ** exp <= scale / 10**d
         with mpmath.mp.workdps(2 * digits + 40):
             q = expr.constant
             want = mpmath.mpf(q.numerator) / q.denominator + mpmath.fsum(
@@ -388,6 +416,16 @@ class TestEtaNumeric:
             eta_numeric(idx, "fast", tolerance)
         assert calls == []
 
+    def test_fast_accepts_a_bound_equal_to_the_tolerance(self, monkeypatch):
+        # C 10^-14 is exactly the tolerance, so 14 digits suffice
+        calls = []
+        numeric = ZetaExpr.numeric
+        monkeypatch.setattr(ZetaExpr, "bound_scale", lambda self: Fraction(1e-12) * 10**14)
+        monkeypatch.setattr(ZetaExpr, "numeric",
+                            lambda self, digits: calls.append(digits) or numeric(self, digits))
+        assert eta_numeric((2, 1), "fast", 1e-12).error_bound <= 1e-12
+        assert calls == [14]
+
     @pytest.mark.parametrize("idx, cap, sized", [
         ((31, 31), 26, 26),
         # start + 12 = 25 is evaluated past the cap
@@ -405,7 +443,7 @@ class TestEtaNumeric:
     @pytest.mark.parametrize("idx", [(2,), (2, 1), (1, 2, 3, 1), (31, 31), (300, 1), (520, 520)])
     def test_bound_scale_sizes_the_proven_constant(self, idx):
         # C of ZetaExpr.numeric's docstring in exact arithmetic, with extra
-        # the least e >= 0 with 1 + |c| <= 10^e, against the float sizing
+        # the least e >= 0 with 1 + |c| <= 10^e, and the rounding pad
         expr = eta_symbolic(idx)
         q, coeffs = abs(expr.constant), [abs(c) for c in expr.coeffs.values()]
         n = len(coeffs)
@@ -416,8 +454,7 @@ class TestEtaNumeric:
                 extra += 1
             zeta_share += c / 10**extra
         exact = ((1 + q) / 10**4 + zeta_share / 100 + Fraction(n, 10**16) * (1 + q + n + 5))
-        log_exact = math.log10(exact.numerator) - math.log10(exact.denominator)
-        assert log_exact <= expr.log10_bound_scale() <= log_exact + 1e-5
+        assert expr.bound_scale() == exact * (1 + Fraction(n + 5, 10**9))
 
     def test_fast_sizes_weights_up_to_10_at_the_start_digits(self, monkeypatch):
         # the sizing alone, nothing evaluated: every index of weight 2..10
