@@ -35,9 +35,13 @@ MAX_TABLE_WEIGHT = 12
 # print: zeta_pi_power_factor(k) first builds a k/2-entry tangent-number
 # table, O(k^2) big-integer steps
 MAX_ETA_WEIGHT = 10_000
-# partial_fraction_shifted takes about 2 sum_{i<j} s_i s_j big-integer steps,
-# so the weight cap does not bound its time: on a 2-vCPU VM eta 2000,2000
-# (4e6) takes about 4 s, and eta 5000,5000 did not finish in 40 s
+# partial_fraction_shifted gives a pole of order s_j (s_j - 1)(w - s_j) series
+# steps and r - 1 powers for its denominator (r the depth).  Summed over the
+# poles, each count is at most 2 sum_{i<j} s_i s_j, the sum this caps and the
+# weight cap does not bound.  The integers grow with the index, so a step has
+# no fixed cost: on a 2-vCPU VM eta 2000,2000 (4e6) takes 2.6-3.2 s, and
+# eta 1,...,1 at depth 2828 (4.0e6) runs 8.6-12.9 s, most of it on the
+# denominators, before it is refused as too long to print
 MAX_ETA_WORK = 4_000_000
 # a numeric eta-value evaluates zeta(k) for each k = 2..max(s), or k = s
 # alone at depth 1, and zeta_constant(k, ...) takes about k^2 steps, as its

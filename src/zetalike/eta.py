@@ -15,12 +15,14 @@ here by :class:`ZetaExpr`.
 The coefficients c[j][k] are computed by exact truncated power series (never
 numerically): around the pole n = 1-j, write n = (1-j) + t and expand
 prod_{i != j} (i-j+t)^(-s_i) to order s_j - 1; the t^m coefficient is
-c[j][s_j - m].  The expansion runs in integers: with d = i-j and M the lcm of
-the |d|, substituting t = M u turns each factor into
-d^(-s) (1 + (M/d) u)^(-s), whose u-series C(s+m-1, m) (-M/d)^m is integral.
-Their product, truncated at u^(s_j - 1), is built by s exact divisions by
-each linear factor 1 + (M/d) u, so every step is an integer
-multiply-subtract; the t^m coefficient is I_m / (prod_i d^(s_i) M^m).
+c[j][s_j - m].  The expansion runs in integers: with d = i-j and
+M = lcm(1..max(j-1, r-j)) (r the depth), which is the lcm of the |d|,
+substituting t = M u turns each factor into d^(-s) (1 + (M/d) u)^(-s), whose
+u-series C(s+m-1, m) (-M/d)^m is integral.  Their product, truncated at
+u^(s_j - 1), is built by s exact divisions by each linear factor 1 + (M/d) u,
+so every step is an integer multiply-subtract; the t^m coefficient is
+I_m / (prod_i d^(s_i) M^m).  A pole of order s_j = 1 needs no series: its row
+is c[j][1] = 1 / prod_{i != j} (i-j)^(s_i).
 
 The table keeps those integer pairs.  An eta-value is assembled from them
 without a ``Fraction`` per cell: the constant and each zeta(k) coefficient
@@ -118,12 +120,16 @@ class ZetaExpr:
     __slots__ = ("constant", "_items")
 
     def __init__(self, constant: Rational | int = 0, coeffs: Mapping[int, Rational] | None = None):
-        object.__setattr__(self, "constant", Fraction(constant))
+        # Fraction(x) of an exact Fraction would only copy it
+        if type(constant) is not Fraction:
+            constant = Fraction(constant)
+        object.__setattr__(self, "constant", constant)
         items = []
         for k, c in sorted((coeffs or {}).items()):
             if not isinstance(k, int) or k < 2:
                 raise ValueError(f"zeta argument must be an integer >= 2, got {k!r}")
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 items.append((k, c))
         object.__setattr__(self, "_items", tuple(items))
@@ -306,7 +312,9 @@ class PartialFractionTable:
 
     ``pairs[j-1][k-1]`` holds c[j][k] for 1 <= j <= len(parts), 1 <= k <= s_j
     as the integers (numerator, denominator) the kernel computes, not
-    reduced (the denominator may be negative).  ``rows`` is the same table of
+    reduced (the denominator may be negative): with D = prod_{i != j}
+    (i-j)^(s_i) and M = lcm(1..max(j-1, r-j)), c[j][s_j - m] is (I_m, D M^m),
+    and a row of order s_j = 1 is just (1, D).  ``rows`` is the same table of
     ``Fraction``s, built when read.
     """
 
@@ -341,17 +349,26 @@ def partial_fraction_shifted(idx: EtaIndex | Iterable[int]) -> PartialFractionTa
     parts = EtaIndex.coerce(idx).parts
     rows = []
     for j, order in enumerate(parts):
-        others = [(i - j, s) for i, s in enumerate(parts) if i != j]
-        scale = math.lcm(*(d for d, _ in others))
-        series = [1] + [0] * (order - 1)  # in u = t/scale, over den
         den = 1
-        for d, s in others:
-            # (d + t)^-s = d^-s (1 + (scale/d) u)^-s: s exact divisions
-            den *= d**s
-            ratio = scale // d
+        for i, s in enumerate(parts):
+            if i != j:
+                den *= (i - j)**s
+        if order == 1:
+            rows.append(((1, den),))
+            continue
+        # the lcm of the distances |i - j|: they are 1..max(j, len(parts) - 1 - j)
+        scale = math.lcm(*range(1, max(j, len(parts) - 1 - j) + 1))
+        series = [1] + [0] * (order - 1)  # in u = t/scale, over den
+        for i, s in enumerate(parts):
+            if i == j:
+                continue
+            # (d + t)^-s = d^-s (1 + (scale/d) u)^-s: s exact divisions, each
+            # an in-place pass series[m] -= ratio * series[m - 1]
+            ratio = scale // (i - j)
             for _ in range(s):
+                prev = 1  # series[0]
                 for m in range(1, order):
-                    series[m] -= ratio * series[m - 1]
+                    prev = series[m] = series[m] - ratio * prev
         # c[j][k] is the t^(s_j - k) term
         rows.append(tuple((series[m], den * scale**m) for m in reversed(range(order))))
     table = PartialFractionTable(parts, tuple(rows))
@@ -376,8 +393,12 @@ def _harmonic_prefixes(n: int, power: int) -> tuple[Rational, ...]:
 
 
 @lru_cache(maxsize=None)
-def _eta_symbolic_cached(parts: tuple[int, ...]) -> ZetaExpr:
-    table = partial_fraction_shifted(EtaIndex(parts))
+def _eta_symbolic_cached(idx: EtaIndex) -> ZetaExpr:
+    table = partial_fraction_shifted(idx)
+    # (H_0^(k), ..., H_{r-1}^(k)) for each power k a row after the first
+    # reaches; the first row reads only H_0 = 0
+    prefixes = [_harmonic_prefixes(idx.depth - 1, k)
+                for k in range(1, max(idx.parts[1:], default=0) + 1)]
     # the constant -sum c[j][k] H_{j-1}^(k) (key 0) and each zeta(k)
     # coefficient sum_j c[j][k] (key k) as integer pairs
     pairs: dict[int, list[tuple[int, int]]] = {}
@@ -387,8 +408,8 @@ def _eta_symbolic_cached(parts: tuple[int, ...]) -> ZetaExpr:
                 continue
             if k > 1:
                 pairs.setdefault(k, []).append((num, den))
-            if j:  # H_0 = 0
-                h = _harmonic_prefixes(len(parts) - 1, k)[j]
+            if j:
+                h = prefixes[k - 1][j]
                 pairs.setdefault(0, []).append((-num * h.numerator, den * h.denominator))
     return _from_pairs(pairs)
 
@@ -400,7 +421,7 @@ def eta_symbolic(idx: EtaIndex | Iterable[int]) -> ZetaExpr:
     contributes c[j][k] (zeta(k) - H_{j-1}^(k)); the k = 1 cells jointly
     contribute - sum_j c[j][1] H_{j-1}.
     """
-    return _eta_symbolic_cached(EtaIndex.coerce(idx).parts)
+    return _eta_symbolic_cached(EtaIndex.coerce(idx))
 
 
 def eta_numeric(

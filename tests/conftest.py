@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, factorial, fsum, prod
+from math import comb, factorial, fsum, lcm, prod
 
 import mpmath
 import pytest
@@ -105,6 +105,28 @@ def fraction_suffix_balance(q: int, n: int) -> Fraction:
             denom *= suffix + 1
         total += Fraction(1, denom)
     return total
+
+
+def reference_partial_fractions(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The integer pairs of c[j][k] for prod_j (n+j-1)^(-s_j), laid out as
+    ``PartialFractionTable.pairs``, by the kernel's loop as it stood before
+    order-1 poles skipped the series: each pole lists its distances
+    d = i - j, takes their lcm as the scale, and runs all s divisions by
+    every factor 1 + (scale/d) u, even when they are empty."""
+    rows = []
+    for j, order in enumerate(parts):
+        others = [(i - j, s) for i, s in enumerate(parts) if i != j]
+        scale = lcm(*(d for d, _ in others))
+        series = [1] + [0] * (order - 1)
+        den = 1
+        for d, s in others:
+            den *= d**s
+            ratio = scale // d
+            for _ in range(s):
+                for m in range(1, order):
+                    series[m] -= ratio * series[m - 1]
+        rows.append(tuple((series[m], den * scale**m) for m in reversed(range(order))))
+    return tuple(rows)
 
 
 def fraction_eta_assembly(parts: tuple[int, ...]) -> ZetaExpr:

@@ -16,6 +16,7 @@ from conftest import (
     float_eta_oracle,
     fraction_eta_assembly,
     pairwise_eta,
+    reference_partial_fractions,
 )
 from zetalike import (
     EtaIndex,
@@ -44,12 +45,14 @@ _VALUES = st.one_of(
 class TestEtaIndex:
     def test_validation(self):
         assert EtaIndex((1, 1)).weight == 2
-        with pytest.raises(InadmissibleIndexError):
-            EtaIndex((1,))
-        with pytest.raises(InadmissibleIndexError):
-            EtaIndex((0, 2))
-        with pytest.raises(InadmissibleIndexError):
-            EtaIndex(())
+        # both public entry points refuse what EtaIndex refuses
+        for refuse in (EtaIndex, eta_symbolic, partial_fraction_shifted):
+            with pytest.raises(InadmissibleIndexError):
+                refuse((1,))
+            with pytest.raises(InadmissibleIndexError):
+                refuse((0, 2))
+            with pytest.raises(InadmissibleIndexError):
+                refuse(())
 
     @pytest.mark.parametrize("bad", [(2.7,), ("3",), (2.5,), (1, 2.0)])
     def test_non_integral_entry_raises(self, bad):
@@ -57,6 +60,8 @@ class TestEtaIndex:
             EtaIndex(bad)
         with pytest.raises(TypeError):
             eta_symbolic(bad)
+        with pytest.raises(TypeError):
+            partial_fraction_shifted(bad)
 
 
 class TestZetaExpr:
@@ -65,6 +70,10 @@ class TestZetaExpr:
         b = ZetaExpr(Fraction(1, 2), {3: Fraction(2)})
         assert a == b and hash(a) == hash(b)
         assert a.coeffs == {3: Fraction(2)}
+        assert ZetaExpr().is_zero()
+        # ints and Fractions alike are stored as exact Fractions
+        c = ZetaExpr(1, {2: 3, 4: Fraction(1, 2)})
+        assert all(type(x) is Fraction for x in (c.constant, *c.coeffs.values()))
 
     def test_sum(self):
         a = ZetaExpr(1, {2: Fraction(1, 2)})
@@ -218,6 +227,8 @@ class TestPartialFractions:
         shapes = [c for w in range(2, 10) for c in compositions(w)]
         assert len(shapes) == 510
         shapes += [(1,) * 20 + (2,), (60, 60, 60), (3,) * 25, (1, 7, 1, 7, 1)]
+        # order-1 poles and the widest distance at either end
+        shapes += [(4,) + (1,) * 7, (1,) * 7 + (4,), (1,) * 30, (2, 1, 1, 1, 1, 1, 2)]
         for parts in shapes:
             table = partial_fraction_shifted(parts)
             assert all(type(c) is Fraction for row in table.rows for c in row)
@@ -226,6 +237,15 @@ class TestPartialFractions:
                 for j, s in enumerate(parts, start=1):
                     want /= (n + j - 1) ** s
                 assert table.reconstruct_at(n) == want, (parts, n)
+
+    def test_pairs_match_the_reference_kernel_on_the_table_space(self):
+        # every index `table eta` can request, weight 2..12.  Equal integer
+        # pairs give equal rows, and they also pin the scale to the lcm of
+        # the distances, where any common multiple would give the same rows
+        shapes = [c for w in range(2, 13) for c in compositions(w)]
+        assert len(shapes) == 4094
+        for parts in shapes:
+            assert partial_fraction_shifted(parts).pairs == reference_partial_fractions(parts), parts
 
 
 class TestEtaSymbolic:
@@ -277,6 +297,19 @@ class TestEtaSymbolic:
         prefixes = zetalike.eta._harmonic_prefixes(n, 3)
         assert len(prefixes) == n + 1
         assert prefixes[-1] == harmonic(n, 3)
+
+    def test_validates_once_at_the_boundary(self, monkeypatch):
+        calls = []
+        check = EtaIndex.__post_init__
+
+        def counting(self):
+            calls.append(self.parts)
+            check(self)
+
+        monkeypatch.setattr(EtaIndex, "__post_init__", counting)
+        zetalike.eta._eta_symbolic_cached.cache_clear()
+        assert eta_symbolic((2, 1, 3)) == pairwise_eta((2, 1, 3))
+        assert calls == [(2, 1, 3)]
 
     def test_kernel_runs_once_per_distinct_index(self, monkeypatch):
         calls = []
