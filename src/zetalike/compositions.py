@@ -1,18 +1,66 @@
-"""Weak-composition enumeration.
+"""Weak-composition enumeration, and the index type both families build on.
 
 Every fixed-weight summation in this library ranges over weak compositions:
 ordered k-tuples of nonnegative integers with a prescribed sum.  Tuples are
 yielded in lexicographic order, which table emission and report ordering
 rely on, and the enumerators are streaming (no materialized lists).
+
+:class:`Index` is the immutable tuple of entries that ``rho.RhoIndex`` and
+``eta.EtaIndex`` share; each subclass adds only its admissibility check.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterator
+from typing import Iterable, Iterator, Self
 
-__all__ = ["weak_compositions", "compositions"]
+__all__ = ["Index", "weak_compositions", "compositions"]
+
+
+class Index:
+    """An immutable index (s_1, ..., s_r) of integer entries.  A subclass's
+    ``__init__`` calls this one and then checks admissibility."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Iterable[int]):
+        object.__setattr__(self, "parts", tuple(map(operator.index, parts)))
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return type(self), (self.parts,)
+
+    @classmethod
+    def coerce(cls, idx: Self | Iterable[int]) -> Self:
+        return idx if isinstance(idx, cls) else cls(idx)
+
+    @property
+    def depth(self) -> int:
+        return len(self.parts)
+
+    @property
+    def weight(self) -> int:
+        return sum(self.parts)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(parts={self.parts!r})"
+
+    def __str__(self) -> str:
+        return "(" + ", ".join(map(str, self.parts)) + ")"
 
 
 def weak_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:

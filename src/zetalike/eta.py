@@ -42,11 +42,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
+from .compositions import Index
 from .errors import InadmissibleIndexError, ToleranceError
 from .harmonic import bell_polynomial, harmonic, harmonic_vector
 from .numeric import ApproxReal, Rational, _lcm_sum, _slack, zeta_constant, zeta_pi_power_factor
@@ -71,15 +71,14 @@ _ORACLE_CAP = 10**7
 MAX_DIGITS = 300
 
 
-@dataclass(frozen=True)
-class EtaIndex:
+class EtaIndex(Index):
     """An admissible eta-index (s_1, ..., s_r): entries >= 1, weight >= 2."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(map(operator.index, self.parts))
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[int]):
+        super().__init__(parts)
+        parts = self.parts
         if not parts:
             raise InadmissibleIndexError("eta-index needs depth >= 1")
         if any(p < 1 for p in parts):
@@ -88,21 +87,6 @@ class EtaIndex:
             raise InadmissibleIndexError(
                 f"eta-index {parts} diverges: total weight must be >= 2"
             )
-
-    @classmethod
-    def coerce(cls, idx: "EtaIndex" | Iterable[int]) -> "EtaIndex":
-        return idx if isinstance(idx, EtaIndex) else cls(tuple(idx))
-
-    @property
-    def depth(self) -> int:
-        return len(self.parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(map(str, self.parts)) + ")"
 
 
 # --------------------------------------------------------------------------
@@ -306,42 +290,18 @@ def _from_pairs(pairs: Mapping[int, list[tuple[int, int]]]) -> ZetaExpr:
 # Shifted partial fractions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartialFractionTable:
+class PartialFractionTable(NamedTuple):
     """Coefficients c[j][k] with prod_j (n+j-1)^(-s_j) = sum c[j][k]/(n+j-1)^k.
 
     ``pairs[j-1][k-1]`` holds c[j][k] for 1 <= j <= len(parts), 1 <= k <= s_j
     as the integers (numerator, denominator) the kernel computes, not
     reduced (the denominator may be negative): with D = prod_{i != j}
     (i-j)^(s_i) and M = lcm(1..max(j-1, r-j)), c[j][s_j - m] is (I_m, D M^m),
-    and a row of order s_j = 1 is just (1, D).  ``rows`` is the same table of
-    ``Fraction``s, built when read.
+    and a row of order s_j = 1 is just (1, D).
     """
 
     parts: tuple[int, ...]
-    pairs: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
-
-    @property
-    def rows(self) -> tuple[tuple[Rational, ...], ...]:
-        return tuple(tuple(Fraction(n, d) for n, d in row) for row in self.pairs)
-
-    def first_order_sum(self) -> Rational:
-        """sum_j c[j][1]; zero for every admissible index (the convergence
-        constraint)."""
-        return Fraction(*_lcm_sum(row[0] for row in self.pairs))
-
-    def reconstruct_at(self, n: Rational | int) -> Rational:
-        """Evaluate sum_{j,k} c[j][k]/(n+j-1)^k at a non-pole point."""
-        n = Fraction(n)
-        total = Fraction(0)
-        for j, row in enumerate(self.rows, start=1):
-            base = n + j - 1
-            if base == 0:
-                raise ZeroDivisionError(f"{n} is a pole of index {self.parts}")
-            for k, c in enumerate(row, start=1):
-                if c:
-                    total += c / base**k
-        return total
+    pairs: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def partial_fraction_shifted(idx: EtaIndex | Iterable[int]) -> PartialFractionTable:
@@ -371,13 +331,13 @@ def partial_fraction_shifted(idx: EtaIndex | Iterable[int]) -> PartialFractionTa
                     prev = series[m] = series[m] - ratio * prev
         # c[j][k] is the t^(s_j - k) term
         rows.append(tuple((series[m], den * scale**m) for m in reversed(range(order))))
-    table = PartialFractionTable(parts, tuple(rows))
-    if _lcm_sum(row[0] for row in rows)[0]:
+    num, den = _lcm_sum(row[0] for row in rows)
+    if num:
         # cannot happen for weight >= 2; a failure here means a bug upstream
         raise ArithmeticError(
-            f"first-order coefficients of {parts} do not cancel: {table.first_order_sum()}"
+            f"first-order coefficients of {parts} do not cancel: {Fraction(num, den)}"
         )
-    return table
+    return PartialFractionTable(parts, tuple(rows))
 
 
 # --------------------------------------------------------------------------

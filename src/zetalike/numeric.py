@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
@@ -116,20 +115,46 @@ def _slack(dps: int, magnitude) -> mpmath.mpf:
     return mpmath.mpf(10) ** (-(dps + 4)) * (1 + abs(magnitude))
 
 
-@dataclass(frozen=True)
 class ApproxReal:
     """A real number known to absolute accuracy ``error_bound``.
 
     ``dps`` records the decimal working precision the value was produced at.
+    The bound must be finite and nonnegative and the value must not be NaN.
     """
 
-    value: mpmath.mpf
-    error_bound: mpmath.mpf
-    dps: int = 20
+    __slots__ = ("value", "error_bound", "dps")
 
-    def __post_init__(self):
-        if self.error_bound < 0:
-            raise ValueError("error_bound must be nonnegative")
+    def __init__(self, value: mpmath.mpf, error_bound: mpmath.mpf, dps: int = 20):
+        # a NaN fails every comparison, so the bound test refuses it, and
+        # only a NaN differs from itself
+        if not 0 <= error_bound < math.inf:
+            raise ValueError(f"error_bound must be finite and nonnegative, got {error_bound}")
+        if value != value:
+            raise ValueError("value must not be NaN")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error_bound", error_bound)
+        object.__setattr__(self, "dps", dps)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _args(self) -> tuple:
+        """The constructor's arguments, in order: what equality, hashing,
+        copy and pickle read."""
+        return self.value, self.error_bound, self.dps
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._args() == other._args()
+
+    def __hash__(self) -> int:
+        return hash(self._args())
+
+    def __reduce__(self):
+        return type(self), self._args()
 
     def __repr__(self) -> str:
         d = self.to_json_dict()

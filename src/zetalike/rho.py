@@ -33,11 +33,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .compositions import compositions, weak_compositions
+from .compositions import Index, compositions, weak_compositions
 from .errors import InadmissibleIndexError
 from .numeric import Rational
 
@@ -58,15 +57,14 @@ __all__ = [
 _REDUCE_PERIOD = 64
 
 
-@dataclass(frozen=True)
-class RhoIndex:
+class RhoIndex(Index):
     """An admissible rho-index in printed form (s_1, ..., s_r)."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(map(operator.index, self.parts))
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[int]):
+        super().__init__(parts)
+        parts = self.parts
         if not parts:
             raise InadmissibleIndexError("rho-index needs depth >= 1")
         if any(p < 1 for p in parts):
@@ -76,25 +74,10 @@ class RhoIndex:
                 f"rho-index {parts} diverges: last entry must be >= 2"
             )
 
-    @classmethod
-    def coerce(cls, idx: "RhoIndex" | Iterable[int]) -> "RhoIndex":
-        return idx if isinstance(idx, RhoIndex) else cls(tuple(idx))
-
-    @property
-    def depth(self) -> int:
-        return len(self.parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
     @property
     def alpha(self) -> tuple[int, ...]:
         """Shifted exponents a_j = s_j - 1."""
         return tuple(p - 1 for p in self.parts)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(map(str, self.parts)) + ")"
 
 
 def indices(

@@ -3,13 +3,16 @@ weight 2 through 6, for both families.
 
 Each eta entry keeps its pi-powers literal, the way these constants are
 conventionally typeset, and is normalized to the zeta basis via the exact
-factors zeta(2)=pi^2/6, zeta(4)=pi^4/90, zeta(6)=pi^6/945 at load time, so
-the fixtures stay human-checkable while comparisons run on one normal form.
+factors zeta(2)=pi^2/6, zeta(4)=pi^4/90, zeta(6)=pi^6/945, so the fixtures
+stay human-checkable while comparisons run on one normal form.  ``ETA_TABLE``
+is normalized on first use, not at import: the factors come from the
+Bernoulli table, which importing the CLI should not build.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import FixtureError
 from .eta import ZetaExpr
@@ -130,9 +133,16 @@ def _normalize(entry: tuple[str, dict[int, str], dict[int, str]]) -> ZetaExpr:
     return ZetaExpr(Fraction(const), coeffs)
 
 
-ETA_TABLE: dict[tuple[int, ...], ZetaExpr] = {
-    idx: _normalize(entry) for idx, entry in _ETA_ROWS.items()
-}
+@lru_cache(maxsize=None)
+def _eta_table() -> dict[tuple[int, ...], ZetaExpr]:
+    return {idx: _normalize(entry) for idx, entry in _ETA_ROWS.items()}
+
+
+def __getattr__(name: str):
+    # PEP 562: the module attribute ETA_TABLE is _eta_table(), built on first use
+    if name == "ETA_TABLE":
+        return _eta_table()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def rho_reference(index: tuple[int, ...]) -> Fraction:
@@ -144,6 +154,6 @@ def rho_reference(index: tuple[int, ...]) -> Fraction:
 
 def eta_reference(index: tuple[int, ...]) -> ZetaExpr:
     try:
-        return ETA_TABLE[tuple(index)]
+        return _eta_table()[tuple(index)]
     except KeyError:
         raise FixtureError(f"no eta fixture for index {tuple(index)}") from None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
@@ -56,8 +55,7 @@ def value_to_json(v: Value) -> dict:
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one identity check."""
 
     identity_id: str
@@ -66,7 +64,7 @@ class VerificationReport:
     rhs: Value
     passed: bool
     discrepancy: Value
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_json_dict(self) -> dict:
         out = {
@@ -373,11 +371,17 @@ def _suffix_balance(q: int, n: int) -> Iterator[Value]:
 _QUADRATURE_TOL = 1e-6
 
 
-@dataclass(frozen=True, repr=False)
 class _Quadrature(ApproxReal):
     """A tanh-sinh value with the level it converged at, its provenance."""
 
-    level: int = 0
+    __slots__ = ("level",)
+
+    def __init__(self, value, error_bound, dps: int, level: int):
+        super().__init__(value, error_bound, dps)
+        object.__setattr__(self, "level", level)
+
+    def _args(self) -> tuple:
+        return (*super()._args(), self.level)
 
 
 def _within_tolerance(lhs: ApproxReal, rhs: _Quadrature) -> tuple:

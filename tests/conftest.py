@@ -129,13 +129,38 @@ def reference_partial_fractions(parts: tuple[int, ...]) -> tuple[tuple[tuple[int
     return tuple(rows)
 
 
+def fraction_rows(table) -> tuple[tuple[Fraction, ...], ...]:
+    """A ``PartialFractionTable``'s integer pairs as ``Fraction``s:
+    ``fraction_rows(table)[j-1][k-1]`` is c[j][k]."""
+    return tuple(tuple(Fraction(n, d) for n, d in row) for row in table.pairs)
+
+
+def first_order_sum(table) -> Fraction:
+    """sum_j c[j][1], one ``Fraction`` step per row; zero for every
+    admissible index (the convergence constraint)."""
+    return sum((row[0] for row in fraction_rows(table)), Fraction(0))
+
+
+def reconstruct_at(table, n) -> Fraction:
+    """sum_{j,k} c[j][k]/(n+j-1)^k at a point n that is not a pole."""
+    n = Fraction(n)
+    total = Fraction(0)
+    for j, row in enumerate(fraction_rows(table), start=1):
+        base = n + j - 1
+        if base == 0:
+            raise ZeroDivisionError(f"{n} is a pole of index {table.parts}")
+        for k, c in enumerate(row, start=1):
+            total += c / base**k
+    return total
+
+
 def fraction_eta_assembly(parts: tuple[int, ...]) -> ZetaExpr:
     """eta(parts) from the kernel's ``Fraction`` rows, cell by cell: c[j][k]
     adds to the zeta(k) coefficient (k >= 2) and -c[j][k] H_{j-1}^(k) to the
     constant."""
     constant = Fraction(0)
     coeffs: dict[int, Fraction] = {}
-    for j, row in enumerate(partial_fraction_shifted(parts).rows, start=1):
+    for j, row in enumerate(fraction_rows(partial_fraction_shifted(parts)), start=1):
         constant -= row[0] * harmonic(j - 1, 1)
         for k in range(2, len(row) + 1):
             c = row[k - 1]

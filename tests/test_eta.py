@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 import tracemalloc
@@ -13,14 +15,18 @@ import zetalike.eta
 from conftest import (
     algebra_zeta_numeric,
     componentwise_sum,
+    first_order_sum,
     float_eta_oracle,
     fraction_eta_assembly,
+    fraction_rows,
     pairwise_eta,
+    reconstruct_at,
     reference_partial_fractions,
 )
 from zetalike import (
     EtaIndex,
     InadmissibleIndexError,
+    RhoIndex,
     ToleranceError,
     ZetaExpr,
     eta_hook_closed_form,
@@ -53,6 +59,20 @@ class TestEtaIndex:
                 refuse((0, 2))
             with pytest.raises(InadmissibleIndexError):
                 refuse(())
+
+    def test_immutable_value(self):
+        idx = EtaIndex([2, 1])
+        assert idx == EtaIndex((2, 1)) and hash(idx) == hash(EtaIndex((2, 1)))
+        assert idx != EtaIndex((1, 2)) and idx != (2, 1)
+        # an index of the other family is another value, whatever its entries
+        assert EtaIndex((1, 2)) != RhoIndex((1, 2))
+        assert EtaIndex.coerce(idx) is idx
+        assert (str(idx), repr(idx)) == ("(2, 1)", "EtaIndex(parts=(2, 1))")
+        assert copy.deepcopy(idx) == idx == pickle.loads(pickle.dumps(idx))
+        with pytest.raises(AttributeError):
+            idx.parts = (3,)
+        with pytest.raises(AttributeError):
+            del idx.parts
 
     @pytest.mark.parametrize("bad", [(2.7,), ("3",), (2.5,), (1, 2.0)])
     def test_non_integral_entry_raises(self, bad):
@@ -185,15 +205,18 @@ class TestZetaExpr:
 class TestPartialFractions:
     def test_telescoping_pair(self):
         table = partial_fraction_shifted((1, 1))
-        assert table.rows == ((Fraction(1),), (Fraction(-1),))
+        assert fraction_rows(table) == ((Fraction(1),), (Fraction(-1),))
+        assert table.parts == (1, 1) and table.pairs == (((1, 1),), ((1, -1),))
+        with pytest.raises(AttributeError):
+            table.pairs = ()
 
     def test_depth_two_with_double_pole(self):
         table = partial_fraction_shifted((1, 2))
-        assert table.rows == ((Fraction(1),), (Fraction(-1), Fraction(-1)))
+        assert fraction_rows(table) == ((Fraction(1),), (Fraction(-1), Fraction(-1)))
 
     def test_leading_double_pole(self):
         table = partial_fraction_shifted((2, 1))
-        assert table.rows == ((Fraction(-1), Fraction(1)), (Fraction(1),))
+        assert fraction_rows(table) == ((Fraction(-1), Fraction(1)), (Fraction(1),))
 
     def test_reconstruction_on_random_indices(self):
         rng = random.Random(271828)
@@ -207,12 +230,12 @@ class TestPartialFractions:
                 b - a for a, b in zip((0, *cuts), (*cuts, weight))
             )
             table = partial_fraction_shifted(parts)
-            assert table.first_order_sum() == 0
+            assert first_order_sum(table) == 0
             for n in probes:
                 want = Fraction(1)
                 for j, s in enumerate(parts, start=1):
                     want /= (n + j - 1) ** s
-                assert table.reconstruct_at(n) == want
+                assert reconstruct_at(table, n) == want
 
     def test_table_is_exact_at_weight_many_points(self):
         """The table is proved exact by agreement at n = 1..weight.
@@ -231,12 +254,12 @@ class TestPartialFractions:
         shapes += [(4,) + (1,) * 7, (1,) * 7 + (4,), (1,) * 30, (2, 1, 1, 1, 1, 1, 2)]
         for parts in shapes:
             table = partial_fraction_shifted(parts)
-            assert all(type(c) is Fraction for row in table.rows for c in row)
+            assert all(type(c) is Fraction for row in fraction_rows(table) for c in row)
             for n in range(1, sum(parts) + 1):
                 want = Fraction(1)
                 for j, s in enumerate(parts, start=1):
                     want /= (n + j - 1) ** s
-                assert table.reconstruct_at(n) == want, (parts, n)
+                assert reconstruct_at(table, n) == want, (parts, n)
 
     def test_pairs_match_the_reference_kernel_on_the_table_space(self):
         # every index `table eta` can request, weight 2..12.  Equal integer
@@ -300,13 +323,13 @@ class TestEtaSymbolic:
 
     def test_validates_once_at_the_boundary(self, monkeypatch):
         calls = []
-        check = EtaIndex.__post_init__
+        check = EtaIndex.__init__
 
-        def counting(self):
-            calls.append(self.parts)
-            check(self)
+        def counting(self, parts):
+            calls.append(tuple(parts))
+            check(self, parts)
 
-        monkeypatch.setattr(EtaIndex, "__post_init__", counting)
+        monkeypatch.setattr(EtaIndex, "__init__", counting)
         zetalike.eta._eta_symbolic_cached.cache_clear()
         assert eta_symbolic((2, 1, 3)) == pairwise_eta((2, 1, 3))
         assert calls == [(2, 1, 3)]

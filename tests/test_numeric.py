@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -144,3 +146,31 @@ class TestApproxReal:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             ApproxReal(mpmath.mpf(1), mpmath.mpf(-1))
+
+    def test_nan_bound_rejected(self):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ApproxReal(mpmath.mpf(1), mpmath.mpf("nan"))
+
+    @pytest.mark.parametrize("bound", [mpmath.inf, float("inf")])
+    def test_infinite_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ApproxReal(mpmath.mpf(1), bound)
+
+    @pytest.mark.parametrize("value", [mpmath.mpf("nan"), float("nan")])
+    def test_nan_value_rejected(self, value):
+        with pytest.raises(ValueError, match="NaN"):
+            ApproxReal(value, mpmath.mpf(0))
+
+    def test_immutable_value(self):
+        a = ApproxReal(mpmath.mpf(1), mpmath.mpf("1e-20"), 25)
+        assert (a.value, a.error_bound, a.dps) == (1, mpmath.mpf("1e-20"), 25)
+        assert ApproxReal(mpmath.mpf(2), mpmath.mpf(0)).dps == 20
+        b = ApproxReal(mpmath.mpf(1), mpmath.mpf("1e-20"), 25)
+        assert a == b and hash(a) == hash(b)
+        assert a != ApproxReal(mpmath.mpf(1), mpmath.mpf("1e-20"), 24)
+        assert copy.deepcopy(a) == a == pickle.loads(pickle.dumps(a))
+        for field in ("value", "error_bound", "dps"):
+            with pytest.raises(AttributeError):
+                setattr(a, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(a, field)

@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,50 @@ def test_import_loads_no_third_party_module():
         "             - set(sys.stdlib_module_names)))\n"
     )
     assert _fresh(code).strip() == "['zetalike']"
+
+
+def test_import_defines_no_dataclass_and_builds_no_table():
+    # dataclasses loads inspect and each decoration execs generated code, and
+    # the eta fixtures would build the Bernoulli table: start-up work that no
+    # command needs before it runs
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import zetalike.cli\n"
+        "from zetalike import numeric, tables\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)),\n"
+        "      numeric._bernoulli_table.cache_info().currsize,\n"
+        "      tables._eta_table.cache_info().currsize)\n"
+    )
+    assert _fresh(code).strip() == "[] 0 0"
+
+
+def test_root_exports_load_their_home_on_first_use():
+    code = textwrap.dedent("""\
+        import importlib, pkgutil, sys
+        import zetalike
+        print(sorted(m for m in sys.modules if m.startswith("zetalike.")))
+        zetalike.rho_exact
+        print("zetalike.rho" in sys.modules, "zetalike.verify" in sys.modules)
+        exports = {name: getattr(zetalike, name) for name in zetalike.__all__}
+        # the functions harmonic and compositions do not shadow their modules
+        print(type(zetalike.harmonic).__name__, type(zetalike.compositions).__name__)
+        from zetalike import cli, eta, rho
+        print(cli.__name__, eta.__name__, rho.__name__)
+        # every export is the object each submodule binds to its name
+        modules = [importlib.import_module(f"zetalike.{info.name}")
+                   for info in pkgutil.iter_modules(zetalike.__path__)]
+        print(sorted(name for name, obj in exports.items()
+                     if not any(name in vars(m) for m in modules)
+                     or any(vars(m).get(name, obj) is not obj for m in modules)))
+    """)
+    assert _fresh(code).splitlines() == [
+        "[]",
+        "True False",
+        "module module",
+        "zetalike.cli zetalike.eta zetalike.rho",
+        "[]",
+    ]
 
 
 def test_mpmath_and_numpy_load_only_on_the_numeric_paths():

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import itertools
 import sys
@@ -144,8 +145,11 @@ SHARED_ALLOWED = {
     # both sides build their exact value as a ZetaExpr
     ("eta-hook-closed-form", 0, 1): {"zetalike.eta.ZetaExpr.__init__"},
     ("eta-triple-sum", 0, 1): {"zetalike.eta.ZetaExpr.__init__"},
+    # the fixture side normalizes its printed row into a ZetaExpr, on first
+    # use (the fixture table is a cache, cleared before each link)
+    ("table-eta", 0, 1): {"zetalike.eta.ZetaExpr.__init__"},
     # both sides are certified numeric values, whose bounds are validated
-    ("quadrature-integral", 0, 1): {"zetalike.numeric.ApproxReal.__post_init__"},
+    ("quadrature-integral", 0, 1): {"zetalike.numeric.ApproxReal.__init__"},
 }
 # remark-chain's A and D are two eta enumerations, of the hook-shaped and of
 # the flat indices, by design; B and C must share nothing with either
@@ -380,6 +384,20 @@ class TestReportsInfrastructure:
             assert again.passed == rep.passed
             assert again.lhs == rep.lhs
             assert again.rhs == rep.rhs
+
+    def test_reports_are_immutable_values(self):
+        rep = run_check("rho-eta-connection", q=1, r=2)
+        assert rerun(rep) == rep
+        with pytest.raises(AttributeError):
+            rep.passed = False
+        quad = run_check("quadrature-integral", n=1, q=0)
+        rhs = quad.rhs
+        assert quad.details["quadrature_level"] == rhs.level
+        # the level is part of the value: equal levels compare equal, others not
+        assert copy.copy(rhs) == rhs and copy.copy(rhs).level == rhs.level
+        assert type(rhs)(rhs.value, rhs.error_bound, rhs.dps, rhs.level + 1) != rhs
+        with pytest.raises(AttributeError):
+            rhs.level = 0
 
     def test_report_serialization_shape(self):
         rep = run_check("rho-eta-connection", q=1, r=1)
