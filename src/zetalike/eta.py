@@ -63,8 +63,6 @@ __all__ = [
     "MAX_DIGITS",
 ]
 
-# the most terms the series oracle sums
-_ORACLE_CAP = 10**7
 # the most digits the CLI's --digits takes and fast mode evaluates at (or start
 # + 12, if more): zeta_constant slows sharply past a few hundred digits, and
 # 10.0**-digits underflows to 0.0 from 324 on
@@ -391,31 +389,34 @@ def eta_numeric(
 ) -> ApproxReal:
     """Numeric eta-value with error_bound <= tolerance.
 
-    mode="oracle" sums the defining series directly to N terms, N chosen so
-    the integral tail estimate N^(1-w)/(w-1) (w = weight) is below
-    tolerance/2; this is deliberately independent of the symbolic reduction.
+    mode="oracle" sums the defining series to the least N with r N^(-w) <=
+    tolerance (w = weight, r = depth, compared in integers) and brackets the
+    rest; this is deliberately independent of the symbolic reduction.
     mode="fast" evaluates :func:`eta_symbolic` with certified zeta constants
     once, at the least digits >= start with C 10^-digits <= tolerance, compared
     in integers: start is 1 digit past the tolerance, and error_bound <= C
     10^-digits for C = ``ZetaExpr.bound_scale()``.  Past both MAX_DIGITS and
     start + 12 it is refused before anything is evaluated.
 
-    The oracle refuses tolerances below 1e-12 and term counts above 10**7.
-    The factors are streamed one column per j, the pows (n+j-1)^(-s_j) for
-    n = 1..N, and each term is the product of its r = depth factors taken
-    left to right; ``math.fsum`` adds the terms as they come.
+    The oracle refuses tolerances below 1e-12, so N <= 1,414,214 (weight 2,
+    depth 2).  It streams one column of integer powers (n+j-1)^(s_j) per j,
+    multiplies each row to P_n left to right and ``math.fsum``s the 1/P_n.
 
-    Its error_bound is tail + slack.  Summands past N are at most n^-w, so
-    the tail is at most N^(1-w)/(w-1).  The slack (2r+4) * 2.3e-16 *
-    (total+1) assumes ``math.fsum`` rounds correctly and libm ``pow`` is
-    within 1 ulp.  With u = 2^-53: each (n+j-1)^(-s_j), a pow of an exact
-    integer, is off by at most 2u of itself, and the left-to-right product
-    adds r-1 roundings of u, so each term is off by under 3.01 r u of itself.
-    The terms are positive and fsum rounds once more, so |total - sum| <
-    3.02 r u (total+1) < 3.4e-16 r (total+1); the rest covers rounding
-    ``tail`` and ``tail + slack``.  The 1e-300 covers underflowed terms,
-    where relative error fails: at most 10**7 terms, each off by about
-    r * 2^-1074.
+    f(x) = prod_j (x+j-1)^(-s_j) decreases, with (x+r-1)^(-w) <= f(x) <=
+    x^(-w), so the tail sum_{n>N} f(n) lies between L = (N+r)^(1-w)/(w-1),
+    below the integral of f from N+1, and U = N^(1-w)/(w-1), above the
+    integral from N.  The value is the partial sum plus M = (L+U)/2 and
+    error_bound is H + slack, where H = (U-L)/2, half the integral of x^(-w)
+    over [N, N+r], is at most r N^(-w)/2 <= tolerance/2.  M and H are
+    (hi+lo) and (hi-lo) over 2 (w-1) lo hi, lo = N^(w-1), hi = (N+r)^(w-1).
+
+    The slack 5e-16 (total+1) + 1e-300 needs only correctly rounded int/int
+    division and ``math.fsum``.  With u = 2^-53, each 1/P_n and M is one
+    division, off by at most u of itself or 2^-1075 if it underflows, and
+    fsum rounds once more; all are positive, so total is off by under
+    2.01 u (total+1) + 1e-317 at any depth.  Rounding H <= U <= 1 and
+    H + slack adds at most 2.01 u (total+1+slack), and 4.02 u < 5e-16.  As
+    total < zeta(2) + 1, slack < 2e-15 and error_bound <= tolerance.
     """
     import mpmath
 
@@ -443,19 +444,18 @@ def eta_numeric(
 
     if tolerance < 1e-12:
         raise ToleranceError("oracle mode supports tolerances >= 1e-12")
-    w = idx.weight
-    n_terms = int(math.ceil((2.0 / ((w - 1) * tolerance)) ** (1.0 / (w - 1))))
-    if n_terms > _ORACLE_CAP:
-        raise ToleranceError(
-            f"oracle for {idx} at {tolerance} needs {n_terms} terms (cap {_ORACLE_CAP})"
-        )
-    columns = [map(pow, range(1 + off, n_terms + 1 + off), itertools.repeat(-s))
+    w, r = idx.weight, idx.depth
+    # the least N >= 1 with r N^-w <= tolerance = a / b, from just below the float root
+    (a, b), guess = tolerance.as_integer_ratio(), int((r / tolerance) ** (1 / w))
+    n_terms = next(n for n in itertools.count(max(1, guess - 1)) if r * b <= a * n**w)
+    columns = [map(pow, range(1 + off, n_terms + 1 + off), itertools.repeat(s))
                for off, s in enumerate(idx.parts)]
-    total = math.fsum(reduce(partial(map, operator.mul), columns))
-    tail = n_terms ** (1 - w) / (w - 1)
-    # float rounding: each term is a product of <= depth powers, all <= 1
-    slack = (2 * idx.depth + 4) * 2.3e-16 * (total + 1) + 1e-300
-    return ApproxReal(mpmath.mpf(total), mpmath.mpf(tail + slack), 17)
+    terms = map((1).__truediv__, reduce(partial(map, operator.mul), columns))
+    lo, hi = n_terms ** (w - 1), (n_terms + r) ** (w - 1)
+    den = 2 * (w - 1) * lo * hi
+    total = math.fsum(itertools.chain(terms, ((hi + lo) / den,)))
+    slack = 5e-16 * (total + 1) + 1e-300
+    return ApproxReal(mpmath.mpf(total), mpmath.mpf((hi - lo) / den + slack), 17)
 
 
 # --------------------------------------------------------------------------

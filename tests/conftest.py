@@ -191,14 +191,18 @@ def fraction_eta_sum(idxs) -> ZetaExpr:
     return componentwise_sum((1, eta_symbolic(idx)) for idx in idxs)
 
 
-def float_eta_oracle(parts: tuple[int, ...], n_terms: int) -> float:
-    """The eta series to ``n_terms`` terms by a per-term generator: each term
-    is the ``prod`` of its (n+j-1)^(-s_j), and ``fsum`` adds the terms."""
-    exponents = list(enumerate(parts))  # (offset, power)
-    return fsum(
-        prod((n + off) ** -s for off, s in exponents)
-        for n in range(1, n_terms + 1)
-    )
+def float_eta_oracle(parts: tuple[int, ...], n_terms: int) -> tuple[float, float]:
+    """The eta series to ``n_terms`` terms plus the midpoint of its tail
+    bracket, and the bracket's half-width.  A per-term generator gives each
+    term as 1 / (the integer prod (n+j-1)^(s_j)), and ``fsum`` adds the
+    terms and the midpoint.  The tail lies between (N+r)^(1-w)/(w-1) and
+    N^(1-w)/(w-1); midpoint and half-width are ``Fraction``s, rounded once."""
+    w, r = sum(parts), len(parts)
+    upper = Fraction(1, (w - 1) * n_terms ** (w - 1))
+    lower = Fraction(1, (w - 1) * (n_terms + r) ** (w - 1))
+    terms = (1 / prod((n + off) ** s for off, s in enumerate(parts))
+             for n in range(1, n_terms + 1))
+    return fsum([*terms, float((upper + lower) / 2)]), float((upper - lower) / 2)
 
 
 @functools.lru_cache(maxsize=None)

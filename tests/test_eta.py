@@ -371,32 +371,45 @@ class TestEtaNumeric:
         assert val.error_bound <= 1e-10
 
     def test_oracle_agrees_with_symbolic(self):
-        # every index of weight 2..7, each at most about 2 * 10^6 terms
+        # every index of weight 2..7 at the oracle's least tolerance
         shapes = [c for w in range(2, 8) for c in compositions(w)]
         assert len(shapes) == 126
         for parts in shapes:
-            oracle = eta_numeric(parts, "oracle", 1e-6 if sum(parts) == 2 else 1e-9)
+            oracle = eta_numeric(parts, "oracle", 1e-12)
             exact = eta_symbolic(parts).numeric(30)
+            assert oracle.error_bound <= 1e-12, parts
             # both bounds are certified, so they must cover the gap
             assert abs(oracle.value - exact.value) <= oracle.error_bound + exact.error_bound, parts
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(idx=st.integers(2, 9).flatmap(
+               lambda w: st.sampled_from([c for c in compositions(w) if len(c) <= 5])),
+           log_tolerance=st.floats(-12, -2))
+    def test_oracle_bound_holds_against_symbolic(self, idx, log_tolerance):
+        tolerance = max(1e-12, 10.0**log_tolerance)
+        oracle = eta_numeric(idx, "oracle", tolerance)
+        exact = eta_symbolic(idx).numeric(40)
+        assert oracle.error_bound <= tolerance
+        assert abs(oracle.value - exact.value) <= oracle.error_bound + exact.error_bound
+
     def test_oracle_matches_float_reference(self):
-        # tolerance 2 / ((w-1) N^(w-1)), nudged up, makes the oracle sum N terms
-        checked = 0
+        # a tolerance just above r n^-w makes n the least N with r N^-w <= tolerance
+        cases = [((2,), 32, 2.0**-10)]  # r N^-w equals the tolerance exactly
         for parts in (c for w in range(2, 7) for c in compositions(w)):
             w, r = sum(parts), len(parts)
-            for n in sorted({1, 2, r, 997, 10**5}):
-                tolerance = 2.0 / ((w - 1) * n ** (w - 1)) * (1 + 1e-9)
-                if tolerance < 1e-12:  # refused, see test_oracle_rejects_sub_picotolerance
-                    continue
-                got = eta_numeric(parts, "oracle", tolerance)
-                total = float_eta_oracle(parts, n)
-                assert float(got.value).hex() == total.hex(), (parts, n)
-                tail = n ** (1 - w) / (w - 1)
-                slack = (2 * r + 4) * 2.3e-16 * (total + 1) + 1e-300
-                assert (got.error_bound, got.dps) == (tail + slack, 17), (parts, n)
-                checked += 1
-        assert checked == 186
+            for n in sorted({1, 2, r, 10, 997, 10**5}):
+                tolerance = r / n**w * (1 + 1e-9)
+                if tolerance >= 1e-12:  # below is refused, see test_oracle_rejects_sub_picotolerance
+                    cases.append((parts, n, tolerance))
+        assert len(cases) == 245
+        for parts, n, tolerance in cases:
+            r, w, tol = len(parts), sum(parts), Fraction(tolerance)
+            assert Fraction(r, n**w) <= tol and (n == 1 or Fraction(r, (n - 1) ** w) > tol)
+            got = eta_numeric(parts, "oracle", tolerance)
+            total, half_width = float_eta_oracle(parts, n)
+            assert float(got.value).hex() == total.hex(), (parts, n)
+            bound = half_width + 5e-16 * (total + 1) + 1e-300
+            assert (got.error_bound, got.dps) == (bound, 17), (parts, n)
 
     def test_oracle_shares_no_code_with_the_symbolic_path(self, monkeypatch):
         def refuse(*args):
@@ -408,10 +421,10 @@ class TestEtaNumeric:
         assert got.error_bound <= 1e-9
 
     def test_oracle_streams_its_terms(self):
-        # 10^5 terms of (1, 1, 1): a list of the terms alone would take 800 KB
+        # 10^5 terms of (2,): a list of the terms alone would take 800 KB
         tracemalloc.start()
         try:
-            eta_numeric((1, 1, 1), "oracle", 1e-10)
+            eta_numeric((2,), "oracle", 1e-10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -529,10 +542,12 @@ class TestEtaNumeric:
                     eta_numeric(idx, "fast", 10.0**-digits)
                 assert got.value.args == (digits + 1,), (idx, digits)
 
-    def test_oracle_tolerance_cap(self):
-        # weight 2 at 1e-8 needs 2*10**8 terms, past the 10**7 cap
-        with pytest.raises(ToleranceError):
-            eta_numeric((1, 1), "oracle", 1e-8)
+    def test_oracle_certifies_weight_two_at_1e8(self):
+        # weight 2 at 1e-8: 14,143 terms of (1, 1)
+        oracle = eta_numeric((1, 1), "oracle", 1e-8)
+        exact = eta_symbolic((1, 1)).numeric(30)
+        assert oracle.error_bound <= 1e-8
+        assert abs(oracle.value - exact.value) <= oracle.error_bound + exact.error_bound
 
     @pytest.mark.parametrize("mode", ["oracle", "fast"])
     @pytest.mark.parametrize("tolerance", [0, -1, float("inf"), float("nan")])
