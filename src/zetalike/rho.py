@@ -24,8 +24,11 @@ integers L/P in C, L a power of lcm(lo..top), and builds one ``Fraction``.
 
 :func:`rho_series_partial_at` sums the series itself, a cross-check that
 shares no code with :func:`rho_exact`.  It keeps integer numerators over one
-running common denominator, divides them by their gcd every 64 steps, and
-builds a ``Fraction`` only at each requested truncation point.
+running common denominator and cuts the sweep into segments that end at each
+requested truncation point and every 64 steps.  A segment's rising
+factorials, step lcms and quotients are built by ``map`` in C, the Python
+loop does only the big-integer recurrence, and the gcd reduction and the
+``Fraction`` wait for the segment's end.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ __all__ = [
     "rho_increasing",
 ]
 
-# rho_series_partial_at divides its numerators and common denominator by
-# their gcd every this many steps
+# rho_series_partial_at ends a segment at every multiple of this, so its
+# numerators and common denominator are divided by their gcd at least this
+# often, and a segment's per-step columns hold at most this many entries
 _REDUCE_PERIOD = 64
 
 
@@ -110,9 +114,14 @@ def rho_series_partial_at(
     layer factors, via P_j(t) = P_j(t-1) + f_j(t) P_{j-1}(t-1).  It keeps
     every P_j as an integer numerator over one shared denominator: step t
     multiplies the denominator by the lcm of the step's rising factorials, so
-    the update is integer arithmetic and a ``Fraction`` is built only at a
-    checkpoint.  Every ``_REDUCE_PERIOD`` steps the numerators and the
-    denominator are divided by their gcd to bound their growth.
+    the update is integer arithmetic.  The steps 1..max(checkpoints) are cut
+    into segments that end at each checkpoint and at each multiple of
+    ``_REDUCE_PERIOD``.  For a segment, each layer's rising factorials, the
+    step lcms and the quotients lcm / factorial are built in C, and the
+    Python loop runs only the recurrence over them.  At a segment's end the
+    numerators and the denominator are divided by their gcd, and a
+    ``Fraction`` is built if the end is a checkpoint.  So the sweep holds
+    O(``_REDUCE_PERIOD``) per-step values, never O(max(checkpoints)).
 
     Checkpoints must be integers >= 1 (``operator.index``: a float or a
     string raises ``TypeError``); they may come unsorted or repeated.
@@ -126,24 +135,32 @@ def rho_series_partial_at(
     a = idx.alpha
     tops = list(itertools.accumulate(a))
     r = idx.depth
-    num = [0] * r
-    den = 1
+    layers = range(r, 0, -1)
+    # [den, num_1, ..., num_r]
+    state = [1] + [0] * r
     out: dict[int, Rational] = {}
-    want = list(checkpoints)
-    for t in range(1, checkpoints[-1] + 1):
-        rf = [math.perm(t + top, ak + 1) for top, ak in zip(tops, a)]
-        step = math.lcm(*rf)
-        # descending j so the update reads the step-(t-1) value of P_{j-1}
-        for j in range(r - 1, -1, -1):
-            num[j] = num[j] * step + (num[j - 1] if j else den) * (step // rf[j])
-        den *= step
-        if t % _REDUCE_PERIOD == 0:
-            g = math.gcd(den, *num)
-            num = [v // g for v in num]
-            den //= g
-        if t == want[0]:
-            out[t] = Fraction(num[r - 1], den)
-            want.pop(0)
+    t = 0
+    for n in checkpoints:
+        while t < n:
+            # sweep the segment t+1..stop, which ends at n or at the next
+            # multiple of _REDUCE_PERIOD, whichever comes first
+            stop = min(n, t - t % _REDUCE_PERIOD + _REDUCE_PERIOD)
+            columns = [
+                list(map(math.perm, range(t + 1 + top, stop + 1 + top), itertools.repeat(ak + 1)))
+                for top, ak in zip(tops, a)
+            ]
+            steps = list(map(math.lcm, *columns))
+            # row = (step, step // rf_1, ..., step // rf_r); descending j so
+            # the update reads the step-(t-1) value of P_{j-1}
+            for row in zip(steps, *(map(operator.floordiv, steps, column) for column in columns)):
+                step = row[0]
+                for j in layers:
+                    state[j] = state[j] * step + state[j - 1] * row[j]
+                state[0] *= step
+            g = math.gcd(*state)
+            state = [v // g for v in state]
+            t = stop
+        out[n] = Fraction(state[r], state[0])
     return out
 
 

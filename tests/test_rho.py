@@ -1,6 +1,9 @@
 import copy
+import math
 import pickle
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +126,45 @@ class TestSeriesPartial:
         ]:
             got = rho_series_partial_at(parts, ns)
             assert got == {n: brute_rho_partial(parts, n) for n in ns}
+
+    def test_dense_checkpoints(self):
+        # every step a checkpoint: segments of length 1, checkpoints on
+        # reduction steps; then a reduction step with no checkpoint (4 P)
+        period = zetalike.rho._REDUCE_PERIOD
+        ns = [*range(1, 2 * period + 3), 3 * period, 4 * period + 1]
+        for parts in [(2,), (1, 2), (2, 1, 3), (1, 1, 1, 2)]:
+            got = rho_series_partial_at(parts, ns)
+            assert list(got) == ns
+            assert got == fraction_rho_partial(parts, ns)
+
+    def test_segments_end_at_checkpoints_and_reduction_steps(self, monkeypatch):
+        # one gcd reduction per segment, so no segment outgrows the period
+        # (the values alone cannot tell: any schedule gives the same sums)
+        period = zetalike.rho._REDUCE_PERIOD
+        ns = [period + 36, 4 * period + 44]
+        reductions = []
+
+        def gcd(*args):
+            reductions.append(len(args))
+            return math.gcd(*args)
+
+        monkeypatch.setattr(zetalike.rho, "math",
+                            SimpleNamespace(perm=math.perm, lcm=math.lcm, gcd=gcd))
+        got = rho_series_partial_at((1, 2), ns)
+        assert got == fraction_rho_partial((1, 2), ns)
+        assert reductions == [3] * len({*ns, *range(period, ns[-1], period)})
+
+    def test_sweep_streams_its_steps(self):
+        # 2 * 10^4 steps of (2,): a column of one rising factorial per step
+        # would take over 600 KB
+        tracemalloc.start()
+        try:
+            got = rho_series_partial_at((2,), [20_000])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == {20_000: Fraction(20_000, 20_001)}
+        assert peak < 64 * 1024
 
     def test_matches_fraction_recurrence(self):
         for parts in [(3,), (1, 2), (2, 1, 3), (1, 2, 1, 2), (1, 1, 2, 1, 2)]:

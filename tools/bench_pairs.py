@@ -10,7 +10,9 @@ SEED + 1, ...; the parent runs first in even pairs, the change in odd ones.
 Prints one JSON object in the shape of the ``BENCH_*.json`` files: for each
 end-to-end metric the medians, the quartiles and in how many pairs the
 change was lower.  Progress goes to stderr.  Exits 1 if any run reports a
-failed request, 2 on any other argument list (PAIRS must be at least 2).
+failed request, or at once if a run exits nonzero, after printing its side,
+its seed and the tail of its stderr; 2 on any other argument list (PAIRS
+must be at least 2).
 """
 
 import io
@@ -26,6 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("table", "verify", "numeric", "oracle")
 SECONDS = 28
+# lines of a crashed run's stderr to print
+STDERR_TAIL = 20
 
 
 def _git(*args: str, data: bool = False):
@@ -73,7 +77,14 @@ def main(argv: list[str]) -> int:
                  "change": _export(tree, Path(tmp, "change"))}
         for i in range(pairs):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                result = _run(sides[side], workload, seed + i)
+                try:
+                    result = _run(sides[side], workload, seed + i)
+                except subprocess.CalledProcessError as err:
+                    tail = err.stderr.splitlines()[-STDERR_TAIL:]
+                    print(f"pair {i + 1}/{pairs} seed {seed + i} {side}: exited "
+                          f"{err.returncode}; its stderr ends:", *tail, sep="\n",
+                          file=sys.stderr)
+                    return 1
                 results[side].append(result)
                 print(f"pair {i + 1}/{pairs} seed {seed + i} {side}: failed "
                       f"{result['failed']} of {result['attempted']}", file=sys.stderr)
