@@ -5,8 +5,9 @@ ordered k-tuples of nonnegative integers with a prescribed sum.  Tuples are
 yielded in lexicographic order, which table emission and report ordering
 rely on, and the enumerators are streaming (no materialized lists).
 
-:class:`Index` is the immutable tuple of entries that ``rho.RhoIndex`` and
-``eta.EtaIndex`` share; each subclass adds only its admissibility check.
+:class:`Index` is the tuple of entries that ``rho.RhoIndex`` and
+``eta.EtaIndex`` share; each subclass adds only its admissibility check.  It
+is a ``numeric._Frozen`` value: immutable, hashable and picklable.
 """
 
 from __future__ import annotations
@@ -15,26 +16,23 @@ import itertools
 import operator
 from typing import Iterable, Iterator, Self
 
+from .numeric import _Frozen
+
 __all__ = ["Index", "weak_compositions", "compositions"]
 
 
-class Index:
-    """An immutable index (s_1, ..., s_r) of integer entries.  A subclass's
-    ``__init__`` calls this one and then checks admissibility."""
+class Index(_Frozen):
+    """An immutable, hashable index (s_1, ..., s_r) of integer entries; it
+    equals only an index of its own class with the same entries.  A
+    subclass's ``__init__`` calls this one and then checks admissibility."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
         object.__setattr__(self, "parts", tuple(map(operator.index, parts)))
 
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, as __setattr__ refuses
-        return type(self), (self.parts,)
+    def _args(self) -> tuple:
+        return (self.parts,)
 
     @classmethod
     def coerce(cls, idx: Self | Iterable[int]) -> Self:
@@ -47,14 +45,6 @@ class Index:
     @property
     def weight(self) -> int:
         return sum(self.parts)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(parts={self.parts!r})"

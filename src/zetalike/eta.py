@@ -49,7 +49,8 @@ from typing import Iterable, Mapping, NamedTuple
 from .compositions import Index
 from .errors import InadmissibleIndexError, ToleranceError
 from .harmonic import bell_polynomial, harmonic, harmonic_vector
-from .numeric import ApproxReal, Rational, _lcm_sum, _slack, zeta_constant, zeta_pi_power_factor
+from .numeric import (ApproxReal, Rational, _Frozen, _lcm_sum, _slack, zeta_constant,
+                      zeta_pi_power_factor)
 
 __all__ = [
     "EtaIndex",
@@ -91,23 +92,26 @@ class EtaIndex(Index):
 # ZetaExpr
 # --------------------------------------------------------------------------
 
-class ZetaExpr:
-    """A formal Q-linear combination  constant + sum_{k>=2} coeffs[k] zeta(k).
+class ZetaExpr(_Frozen):
+    """A formal Q-linear combination  constant + sum_{k>=2} coeffs[k] zeta(k),
+    ``coeffs`` a mapping or (k, coefficient) pairs.
 
     Zero coefficients are never stored, so equality and hashing are
-    structural.  It is a value, not an algebra: :meth:`sum` is the one way
+    structural, and a ZetaExpr equals only another ZetaExpr, never a bare
+    number.  It is a value, not an algebra: :meth:`sum` is the one way
     values are added.
     """
 
     __slots__ = ("constant", "_items")
 
-    def __init__(self, constant: Rational | int = 0, coeffs: Mapping[int, Rational] | None = None):
+    def __init__(self, constant: Rational | int = 0,
+                 coeffs: Mapping[int, Rational] | Iterable[tuple[int, Rational]] | None = None):
         # Fraction(x) of an exact Fraction would only copy it
         if type(constant) is not Fraction:
             constant = Fraction(constant)
         object.__setattr__(self, "constant", constant)
         items = []
-        for k, c in sorted((coeffs or {}).items()):
+        for k, c in sorted(dict(coeffs or ()).items()):
             if not isinstance(k, int) or k < 2:
                 raise ValueError(f"zeta argument must be an integer >= 2, got {k!r}")
             if type(c) is not Fraction:
@@ -116,8 +120,8 @@ class ZetaExpr:
                 items.append((k, c))
         object.__setattr__(self, "_items", tuple(items))
 
-    def __setattr__(self, *_):
-        raise AttributeError("ZetaExpr is immutable")
+    def _args(self) -> tuple:
+        return self.constant, self._items
 
     # ---- accessors ----
 
@@ -130,16 +134,6 @@ class ZetaExpr:
 
     def is_zero(self) -> bool:
         return not self._items and self.constant == 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ZetaExpr(other)
-        if not isinstance(other, ZetaExpr):
-            return NotImplemented
-        return self.constant == other.constant and self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash((self.constant, self._items))
 
     @classmethod
     def sum(cls, terms: Iterable[tuple[int, "ZetaExpr | Rational | int"]]) -> "ZetaExpr":

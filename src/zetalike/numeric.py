@@ -115,11 +115,37 @@ def _slack(dps: int, magnitude) -> mpmath.mpf:
     return mpmath.mpf(10) ** (-(dps + 4)) * (1 + abs(magnitude))
 
 
-class ApproxReal:
+class _Frozen:
+    """An immutable value.  A subclass sets its ``__slots__`` in ``__init__``
+    through ``object.__setattr__`` and returns its constructor's arguments,
+    hashable, from ``_args()``: equality (same type only), hashing, copy and
+    pickle read them, so a copy is rebuilt through ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._args() == other._args()
+
+    def __hash__(self) -> int:
+        return hash(self._args())
+
+    def __reduce__(self):
+        return type(self), self._args()
+
+
+class ApproxReal(_Frozen):
     """A real number known to absolute accuracy ``error_bound``.
 
     ``dps`` records the decimal working precision the value was produced at.
     The bound must be finite and nonnegative and the value must not be NaN.
+    Equal values agree in all three, the ``_args()`` a subclass extends.
     """
 
     __slots__ = ("value", "error_bound", "dps")
@@ -135,26 +161,8 @@ class ApproxReal:
         object.__setattr__(self, "error_bound", error_bound)
         object.__setattr__(self, "dps", dps)
 
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
     def _args(self) -> tuple:
-        """The constructor's arguments, in order: what equality, hashing,
-        copy and pickle read."""
         return self.value, self.error_bound, self.dps
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._args() == other._args()
-
-    def __hash__(self) -> int:
-        return hash(self._args())
-
-    def __reduce__(self):
-        return type(self), self._args()
 
     def __repr__(self) -> str:
         d = self.to_json_dict()

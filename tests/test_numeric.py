@@ -1,5 +1,3 @@
-import copy
-import pickle
 from fractions import Fraction
 
 import mpmath
@@ -165,12 +163,5 @@ class TestApproxReal:
         a = ApproxReal(mpmath.mpf(1), mpmath.mpf("1e-20"), 25)
         assert (a.value, a.error_bound, a.dps) == (1, mpmath.mpf("1e-20"), 25)
         assert ApproxReal(mpmath.mpf(2), mpmath.mpf(0)).dps == 20
-        b = ApproxReal(mpmath.mpf(1), mpmath.mpf("1e-20"), 25)
-        assert a == b and hash(a) == hash(b)
+        assert a == ApproxReal(mpmath.mpf(1), mpmath.mpf("1e-20"), 25)
         assert a != ApproxReal(mpmath.mpf(1), mpmath.mpf("1e-20"), 24)
-        assert copy.deepcopy(a) == a == pickle.loads(pickle.dumps(a))
-        for field in ("value", "error_bound", "dps"):
-            with pytest.raises(AttributeError):
-                setattr(a, field, 0)
-            with pytest.raises(AttributeError):
-                delattr(a, field)

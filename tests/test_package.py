@@ -212,3 +212,51 @@ def test_import_loads_every_module_the_tracer_patches():
         f"print([m for m in {modules!r} if 'zetalike.' + m not in sys.modules])\n"
     )
     assert _fresh(code).strip() == "[]"
+
+
+def _subclasses(cls: type):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_frozen_value_keeps_the_protocol():
+    # every value type takes its immutability, equality, hashing, copy and
+    # pickle from numeric._Frozen; a sample of each must show all of them
+    import copy
+    import pickle
+    from fractions import Fraction
+
+    import mpmath
+
+    from zetalike.compositions import Index
+    from zetalike.eta import EtaIndex, ZetaExpr
+    from zetalike.numeric import ApproxReal, _Frozen
+    from zetalike.rho import RhoIndex
+    from zetalike.verify import _Quadrature
+
+    for name in MODULES:
+        importlib.import_module(name)
+    # alike arguments, so that only the type tells the samples apart
+    one, tiny = mpmath.mpf(1), mpmath.mpf("1e-20")
+    samples = [Index((1, 2)), EtaIndex((1, 2)), RhoIndex((1, 2)), ApproxReal(one, tiny, 17),
+               _Quadrature(one, tiny, 17, 3), ZetaExpr(Fraction(1, 2), {3: 2})]
+    found = {c for c in _subclasses(_Frozen) if c.__module__.startswith("zetalike.")}
+    assert found == set(map(type, samples))
+    # the protocol is written once: no subclass overrides a member of it
+    protocol = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__"}
+    assert all(protocol.isdisjoint(vars(c)) for c in found)
+    for value in samples:
+        for name in {s for c in type(value).__mro__ for s in getattr(c, "__slots__", ())}:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = None
+        for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),
+                      type(value)(*value._args())):
+            assert type(again) is type(value) and again == value
+            assert hash(again) == hash(value)
+        others = [v for v in samples if v is not value] + [value._args(), *value._args()]
+        assert all(value != other and not value == other for other in others)
