@@ -18,10 +18,10 @@ class PoleError(ZetalikeError, ZeroDivisionError):
 
 
 class ToleranceError(ZetalikeError, ValueError):
-    """Raised when a requested tolerance cannot be certified.
-
-    Typically: the direct-series evaluator would need more terms than the
-    configured cap allows.
+    """Raised when a requested tolerance cannot be certified: by
+    ``eta_numeric``'s fast mode past its digit cap or when its final bound
+    misses, by its oracle below the 1e-12 tolerance floor, and by
+    ``zeta_constant`` past its summation budget or when its bound misses.
     """
 
 

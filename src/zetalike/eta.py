@@ -404,12 +404,13 @@ def eta_numeric(
     over [N, N+r], is at most r N^(-w)/2 <= tolerance/2.  M and H are
     (hi+lo) and (hi-lo) over 2 (w-1) lo hi, lo = N^(w-1), hi = (N+r)^(w-1).
 
-    The slack 5e-16 (total+1) + 1e-300 needs only correctly rounded int/int
-    division and ``math.fsum``.  With u = 2^-53, each 1/P_n and M is one
-    division, off by at most u of itself or 2^-1075 if it underflows, and
-    fsum rounds once more; all are positive, so total is off by under
-    2.01 u (total+1) + 1e-317 at any depth.  Rounding H <= U <= 1 and
-    H + slack adds at most 2.01 u (total+1+slack), and 4.02 u < 5e-16.  As
+    The slack 5e-16 (total+1) needs only correctly rounded int/int division
+    and ``math.fsum``.  With u = 2^-53, each 1/P_n and M is one division,
+    off by at most u of itself or 2^-1075 if it underflows, and fsum rounds
+    once more; all are positive, so total is off by under 2.01 u (total+1)
+    + 1e-317 at any depth.  Rounding H <= U <= 1 and H + slack adds under
+    2.01 u (total+1).  The slack, rounded thrice, exceeds 4.02 u (total+1) by
+    (5e-16 - 4.02 u - 2e-31)(total+1) > 5.3e-17, room for the 1e-317.  As
     total < zeta(2) + 1, slack < 2e-15 and error_bound <= tolerance.
     """
     import mpmath
@@ -448,7 +449,7 @@ def eta_numeric(
     lo, hi = n_terms ** (w - 1), (n_terms + r) ** (w - 1)
     den = 2 * (w - 1) * lo * hi
     total = math.fsum(itertools.chain(terms, ((hi + lo) / den,)))
-    slack = 5e-16 * (total + 1) + 1e-300
+    slack = 5e-16 * (total + 1)
     return ApproxReal(mpmath.mpf(total), mpmath.mpf((hi - lo) / den + slack), 17)
 
 

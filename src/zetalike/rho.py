@@ -16,11 +16,11 @@ which is what :func:`rho_exact` evaluates.  Convergence needs s_r >= 2 (so
 every suffix sum is >= 1); admissibility is checked once, at index
 construction, and nowhere else.
 
-Fixed-weight sums of rho-values (here and in ``verify``) never build a
-value per index.  With |a| fixed, rho = 1/(|a|! P), P the product of the
-suffix sums: top, then top - c_i for the stars-and-bars cut points c_i.  So
-a sum ranges over ``combinations_with_replacement`` of suffix sums, adds the
-integers L/P in C, L a power of lcm(lo..top), and builds one ``Fraction``.
+Fixed-weight sums of rho-values never build a value per index.  With |a|
+fixed, rho = 1/(|a|! P), P the product of the suffix sums: top, then top -
+c_i for the stars-and-bars cut points c_i.  So a sum ranges over
+``combinations_with_replacement`` of suffix sums, adds the integers L/P in C,
+L a power of lcm(lo..top), and builds one ``Fraction``.
 
 :func:`rho_series_partial_at` sums the series itself, a cross-check that
 shares no code with :func:`rho_exact`.  It keeps integer numerators over one
@@ -162,6 +162,20 @@ def rho_series_partial_at(
             t = stop
         out[n] = Fraction(state[r], state[0])
     return out
+
+
+def _rho_sum(weight: int, depth: int, last: int = 2) -> Rational:
+    # rho summed over indices(weight, depth, last): a = c + (0, ..., 0, last - 1)
+    # for c a weak composition of free, so |a| = weight - depth and the suffix
+    # sums are top = free + last - 1 and depth - 1 more in [last - 1, top]
+    free = weight - depth - last + 1
+    if free < 0:
+        return Fraction(0)
+    lo, top = last - 1, last - 1 + free
+    common = math.lcm(*range(lo, top + 1)) ** (depth - 1)
+    sums = itertools.combinations_with_replacement(range(lo, top + 1), depth - 1)
+    num = sum(map(common.__floordiv__, map(math.prod, sums)))
+    return Fraction(num, common * top * math.factorial(weight - depth))
 
 
 def suffix_balance_sum(q: int, n: int) -> Rational:

@@ -25,7 +25,7 @@ from .eta import (
 from .harmonic import bell_polynomial, harmonic, harmonic_vector, mzv_star_truncated
 from .numeric import ApproxReal, Rational
 from .quadrature import integrate_unit_square
-from .rho import indices, rho_exact, suffix_balance_sum
+from .rho import _rho_sum, indices, rho_exact, suffix_balance_sum
 from . import tables
 
 Value = Union[Rational, ZetaExpr, ApproxReal]
@@ -148,20 +148,6 @@ def _eta_sum(idxs: Iterable[tuple[int, ...]]) -> ZetaExpr:
     return ZetaExpr.sum((1, eta_symbolic(idx)) for idx in idxs)
 
 
-def _rho_sum(weight: int, depth: int, last: int = 2) -> Rational:
-    # indices(weight, depth, last) has a = c + (0, ..., 0, last - 1), c a weak
-    # composition of free, so |a| = weight - depth and the suffix sums are
-    # top = free + last - 1 and depth - 1 more in [last - 1, top] (see rho.py)
-    free = weight - depth - last + 1
-    if free < 0:
-        return Fraction(0)
-    lo, top = last - 1, last - 1 + free
-    common = math.lcm(*range(lo, top + 1)) ** (depth - 1)
-    sums = itertools.combinations_with_replacement(range(lo, top + 1), depth - 1)
-    num = sum(map(common.__floordiv__, map(math.prod, sums)))
-    return Fraction(num, common * top * math.factorial(weight - depth))
-
-
 def _split_eta_sum(n: int, q: int, last: int, ones: int) -> ZetaExpr:
     # sum over r+s=n, |a|=q of eta(a_1+1, ..., a_r+1, a_{r+1}+last, {1}^(s+ones))
     return _eta_sum(
@@ -224,14 +210,12 @@ def _rho_weighted_sum(n: int, q: int) -> Iterator[Value]:
     """The weighted sum formula
 
         sum_{|a|=n} (a_{q+1}+1) rho(a_1+1, ..., a_q+1, a_{q+1}+2) = 1/(n+1)!.
+
+    The balance identity is its weighted-sum transformation: with T_j = a_j +
+    ... + a_{q+1} + 1, the lhs is suffix_balance_sum(q, n) / (n+1)!.
     """
-    # as in _rho_sum: suffix sums n + 1 = T_1 >= ... >= T_{q+1} >= 1, weight T_{q+1}
-    top = n + 1
-    common = math.lcm(*range(1, top + 1)) ** (q + 1)
-    cuts = itertools.combinations_with_replacement(range(top, 0, -1), q)
-    sums, weights = itertools.tee(map((top,).__add__, cuts))
-    terms = map(common.__floordiv__, map(math.prod, sums))
-    yield Fraction(sum(map(int.__mul__, map(min, weights), terms)), common * math.factorial(n + 1))
+    # (a_{q+1}+1) rho(a_1+1, ..., a_q+1, a_{q+1}+2) = 1/((n+1)! prod_{j<=q} T_j)
+    yield suffix_balance_sum(q, n) / math.factorial(n + 1)
     yield Fraction(1, math.factorial(n + 1))
 
 

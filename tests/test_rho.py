@@ -30,6 +30,7 @@ class TestIndices:
     def test_matches_filtered_compositions(self):
         for weight in range(1, 11):
             for depth in (None, *range(1, weight + 1)):
+                assert list(indices(weight, depth)) == list(indices(weight, depth, 1))
                 for last in (1, 2, 3):
                     want = [
                         idx

@@ -9,12 +9,15 @@ each export, with PYTHONDONTWRITEBYTECODE=1, for the PAIRS seeds S = SEED,
 SEED + 1, ...; the parent runs first in even pairs, the change in odd ones.
 Prints one JSON object in the shape of the ``BENCH_*.json`` files: for each
 end-to-end metric the medians, the quartiles and in how many pairs the
-change was lower.  Progress goes to stderr.  Exits 1 if any run reports a
-failed request, or at once if a run exits nonzero, after printing its side,
-its seed and the tail of its stderr; 2 on any other argument list (PAIRS
-must be at least 2).
+change was lower, and for each side the lines and code lines of
+``src/zetalike``; a code line is one that is not blank, not comment-only and
+not in a module, class or function docstring.  Progress goes to stderr.
+Exits 1 if any run reports a failed request, or at once if a run exits
+nonzero, after printing its side, its seed and the tail of its stderr; 2 on
+any other argument list (PAIRS must be at least 2).
 """
 
+import ast
 import io
 import json
 import os
@@ -23,6 +26,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +34,9 @@ WORKLOADS = ("table", "verify", "numeric", "oracle")
 SECONDS = 28
 # lines of a crashed run's stderr to print
 STDERR_TAIL = 20
+# tokens that alone do not make a line code
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def _git(*args: str, data: bool = False):
@@ -56,6 +63,25 @@ def _export(treeish: str, dest: Path) -> Path:
     return dest
 
 
+def _line_counts(tree: Path) -> tuple[int, int]:
+    """(lines, code lines) of the exported tree's ``src/zetalike``."""
+    lines = code = 0
+    for path in sorted(tree.glob("src/zetalike/*.py")):
+        source = path.read_text()
+        lines += len(source.splitlines())
+        docstrings = set()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        rows = set()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type not in NOT_CODE:
+                rows.update(range(tok.start[0], tok.end[0] + 1))
+        code += len(rows - docstrings)
+    return lines, code
+
+
 def _run(tree: Path, workload: str, seed: int) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -75,6 +101,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         sides = {"parent": _export(parent, Path(tmp, "parent")),
                  "change": _export(tree, Path(tmp, "change"))}
+        counts = {side: _line_counts(path) for side, path in sides.items()}
         for i in range(pairs):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 try:
@@ -108,6 +135,8 @@ def main(argv: list[str]) -> int:
                 f"directory, alternating which side runs first; {workload}: {pairs} "
                 f"pairs (seeds {seed}-{seed + pairs - 1}); failed {failed} in all "
                 f"{2 * pairs} runs",
+        "src_lines": {side: lines for side, (lines, _) in counts.items()},
+        "code_lines": {side: code for side, (_, code) in counts.items()},
         "medians": {workload: medians},
         "quartiles": {workload: quartiles},
     }, indent=2))
