@@ -123,28 +123,27 @@ def _cmd_eta(args) -> tuple[int, str]:
         )
     if args.mode == "symbolic":
         value = eta_symbolic(args.index)
-        # json prints the zeta-style coefficients whatever --render says
-        style = args.render if args.format == "text" else "zeta"
-        limit = sys.get_int_max_str_digits()
-        if limit and any(max(abs(c.numerator), c.denominator) >= 10**limit
-                         for c, _ in value.pieces(style)):
+        # str(int) raises ValueError past the interpreter's digit limit, so a
+        # value is refused exactly when what this format prints is too long
+        try:
+            if args.format == "json":
+                return 0, _format("json", _envelope(args.index, value), [])
+            return 0, f"{value.render(args.render)}\n"
+        except ValueError:
             raise ZetalikeError(
-                f"eta-value of weight {weight} and depth {len(args.index)} "
-                f"has a number of more than {limit} digits, too long to print"
-            )
-    else:
-        top = max(args.index)
-        zeta_work = sum(k * k for k in (range(2, top + 1) if len(args.index) > 1 else (top,)))
-        if zeta_work > MAX_ZETA_WORK:
-            raise ZetalikeError(
-                f"numeric eta index needs sum of k^2 over its zeta(k) terms at most "
-                f"{MAX_ZETA_WORK}, got {zeta_work}"
-            )
-        value = eta_numeric(args.index, mode="fast", tolerance=10.0 ** (-args.digits))
+                f"eta-value of weight {weight} and depth {len(args.index)} has a number "
+                f"of more than {sys.get_int_max_str_digits()} digits, too long to print"
+            ) from None
+    top = max(args.index)
+    zeta_work = sum(k * k for k in (range(2, top + 1) if len(args.index) > 1 else (top,)))
+    if zeta_work > MAX_ZETA_WORK:
+        raise ZetalikeError(
+            f"numeric eta index needs sum of k^2 over its zeta(k) terms at most "
+            f"{MAX_ZETA_WORK}, got {zeta_work}"
+        )
+    value = eta_numeric(args.index, mode="fast", tolerance=10.0 ** (-args.digits))
     if args.format == "json":
         return 0, _format("json", _envelope(args.index, value), [])
-    if args.mode == "symbolic":
-        return 0, f"{value.render(args.render)}\n"
     import mpmath
 
     return 0, (
@@ -196,7 +195,7 @@ def _value_brief(vjson: dict) -> str:
     zeta = vjson.get("zeta") or {}
     if not zeta:
         return vjson["constant"]
-    terms = [vjson["constant"]] + [f"{c}*zeta({k})" for k, c in sorted(zeta.items(), key=lambda kv: int(kv[0]))]
+    terms = [vjson["constant"]] + [f"{c}*zeta({k})" for k, c in zeta.items()]
     return " + ".join(terms)
 
 

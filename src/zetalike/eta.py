@@ -80,7 +80,7 @@ class EtaIndex(Index):
         parts = self.parts
         if not parts:
             raise InadmissibleIndexError("eta-index needs depth >= 1")
-        if any(p < 1 for p in parts):
+        if min(parts) < 1:
             raise InadmissibleIndexError(f"eta-index entries must be >= 1: {parts}")
         if sum(parts) < 2:
             raise InadmissibleIndexError(
@@ -209,47 +209,32 @@ class ZetaExpr(_Frozen):
                                for _, c in self._items)])
         return Fraction(num * (10**9 + n + 5), den * 10**9)
 
-    @staticmethod
-    def _fmt_term(mag: Fraction, symbol: str) -> str:
-        num, den = mag.numerator, mag.denominator
-        head = symbol if num == 1 else f"{num}*{symbol}"
-        return head if den == 1 else f"{head}/{den}"
-
-    def pieces(self, style: str = "zeta") -> list[tuple[Rational, str]]:
-        """The nonzero (coefficient, symbol) terms :meth:`render` prints, in
-        order; the constant's symbol is "".
+    def render(self, style: str = "zeta") -> str:
+        """Deterministic human-readable form: the constant, then each nonzero
+        term in ascending k, as num*symbol/den with the sign in front.
 
         style="zeta" writes every term as zeta(k); style="pi" rewrites even
         arguments through zeta(2m) = c * pi^(2m) (so -zeta(2) prints as
-        -pi^2/6), leaving odd arguments as zeta(k).
+        -pi^2/6), leaving odd arguments as zeta(k).  A number past
+        ``sys.get_int_max_str_digits()`` raises ``str(int)``'s ValueError.
         """
         if style not in ("zeta", "pi"):
             raise ValueError(f"unknown render style {style!r}")
-        pieces: list[tuple[Fraction, str]] = []
-        if self.constant:
-            pieces.append((self.constant, ""))
+        out = [str(self.constant)] if self.constant else []
         for k, c in self._items:
             if style == "pi" and k % 2 == 0:
-                pieces.append((c * zeta_pi_power_factor(k), f"pi^{k}"))
+                c, symbol = c * zeta_pi_power_factor(k), f"pi^{k}"
             else:
-                pieces.append((c, f"zeta({k})"))
-        return pieces
-
-    def render(self, style: str = "zeta") -> str:
-        """Deterministic human-readable form of :meth:`pieces`."""
-        pieces = self.pieces(style)
-        if not pieces:
-            return "0"
-        out = []
-        for i, (coeff, symbol) in enumerate(pieces):
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            body = str(mag) if not symbol else self._fmt_term(mag, symbol)
-            if i == 0:
-                out.append(f"-{body}" if neg else body)
+                symbol = f"zeta({k})"
+            num, den = c.numerator, c.denominator
+            term = symbol if num == 1 or num == -1 else f"{abs(num)}*{symbol}"
+            if den != 1:
+                term = f"{term}/{den}"
+            if out:
+                out.append(f"- {term}" if num < 0 else f"+ {term}")
             else:
-                out.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(out)
+                out.append(f"-{term}" if num < 0 else term)
+        return " ".join(out) or "0"
 
     def __repr__(self) -> str:
         return f"ZetaExpr({self.render()})"

@@ -71,7 +71,7 @@ class RhoIndex(Index):
         parts = self.parts
         if not parts:
             raise InadmissibleIndexError("rho-index needs depth >= 1")
-        if any(p < 1 for p in parts):
+        if min(parts) < 1:
             raise InadmissibleIndexError(f"rho-index entries must be >= 1: {parts}")
         if parts[-1] < 2:
             raise InadmissibleIndexError(

@@ -138,6 +138,9 @@ class TestEtaCommand:
         assert err.startswith("error:")
         code, out, _ = run_capture(capsys, ["eta", "300", "--render", "pi"])
         assert code == 0 and "*pi^300/" in out
+        # json prints the zeta basis whatever --render says, so it prints
+        code, out, _ = run_capture(capsys, ["eta", "400", "--render", "pi", "--format", "json"])
+        assert code == 0 and '"400": "1"' in out
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("argv", [
@@ -145,6 +148,7 @@ class TestEtaCommand:
         ["1000000000000"],
         ["2,99999999999999999999"],
         ["5000000", "--mode", "numeric", "--digits", "5"],
+        ["10001"],
     ])
     def test_oversized_weight_is_usage_error(self, capsys, argv, fmt):
         # these once ended in OverflowError or MemoryError or ran for minutes
@@ -277,6 +281,8 @@ class TestTableCommand:
             code, out, err = run_capture(capsys, ["table", "rho", "--weight", weight])
             assert code == 2 and out == ""
             assert err == f"error: table weight must be in 2..12, got {weight}\n"
+        code, out, _ = run_capture(capsys, ["table", "rho", "--weight", "12", "--format", "csv"])
+        assert code == 0 and out.count("\n") == 1 + 1024
 
 
 class TestVerifyCommand:
@@ -343,6 +349,12 @@ class TestUsageErrors:
         code, out, err = run_capture(capsys, ["eta", "2", "--mode", "numeric", "--digits", "0"])
         assert code == 2 and out == ""
         assert err == "error: --digits must be in 1..300, got 0\n"
+        code, out, _ = run_capture(capsys, ["eta", "2", "--mode", "numeric", "--digits", "1"])
+        assert code == 0 and out.startswith("2.0 (error <= ")
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run_capture(capsys, ["--help"])
+        assert code == 0 and out.startswith("usage: zetalike")
 
     def test_parser_keeps_no_state_between_runs(self, capsys):
         # the parser is built once; a second run must see the default 12 digits

@@ -167,6 +167,11 @@ class TestZetaExpr:
         assert ZetaExpr(0, {3: Fraction(-3, 4)}).render() == "-3*zeta(3)/4"
         e = ZetaExpr(Fraction(-29, 32), {3: Fraction(-3, 4), 2: Fraction(7, 8), 4: Fraction(1, 2)})
         assert e.render("pi") == "-29/32 + 7*pi^2/48 - 3*zeta(3)/4 + pi^4/180"
+        assert ZetaExpr(0, {2: -1}).render("pi") == "-pi^2/6"
+        assert ZetaExpr(Fraction(-1, 2)).render() == "-1/2"
+        assert ZetaExpr(0, {2: 2}).render("pi") == "pi^2/3"
+        with pytest.raises(ValueError):
+            ZetaExpr(0).render("latex")
 
     def test_numeric_bound(self):
         e = ZetaExpr(1, {2: 1, 3: -2})
