@@ -31,9 +31,9 @@ MAX_TABLE_WEIGHT = 12
 # on a 2-vCPU VM eta 10000 takes about 0.15 s symbolic and 0.25 s numeric,
 # and eta 9999,1 about 0.9 s symbolic; far larger weights run for minutes or
 # end in OverflowError or MemoryError.  With --render pi, eta 10000 runs about
-# 160 s and eta 4000 about 9 s before the value is refused as too long to
-# print: zeta_pi_power_factor(k) first builds a k/2-entry tangent-number
-# table, O(k^2) big-integer steps
+# 90 s, eta 4000 about 6 s and eta 3000,2 about 3 s before the value is
+# refused as too long to print: the render first builds one k/2-entry
+# tangent-number table for the largest k, O(k^2) big-integer steps
 MAX_ETA_WEIGHT = 10_000
 # partial_fraction_shifted gives a pole of order s_j (s_j - 1)(w - s_j) series
 # steps and r - 1 powers for its denominator (r the depth).  Summed over the

@@ -1,9 +1,12 @@
-"""Weak-composition enumeration, and the index type both families build on.
+"""Composition enumeration, and the index type both families build on.
 
-Every fixed-weight summation in this library ranges over weak compositions:
-ordered k-tuples of nonnegative integers with a prescribed sum.  Tuples are
-yielded in lexicographic order, which table emission and report ordering
-rely on, and the enumerators are streaming (no materialized lists).
+Every fixed-weight summation in this library ranges over compositions: a
+weak composition of n into k parts is the gaps between k-1 weakly increasing
+cut points in [0, n], and an index of weight w and depth d (entries >= 1) is
+the gaps between d-1 strictly increasing cut points 0 < c_1 < ... < c_{d-1}
+< w.  Tuples are yielded in lexicographic order, which table emission and
+report ordering rely on, and the enumerators are streaming (no materialized
+lists).
 
 :class:`Index` is the tuple of entries that ``rho.RhoIndex`` and
 ``eta.EtaIndex`` share; each subclass adds only its admissibility check.  It
@@ -75,14 +78,18 @@ def weak_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every composition of n into positive parts (any length), in
-    lexicographic tuple order; used to enumerate all indices of one weight."""
+    lexicographic tuple order; used to enumerate all indices of one weight.
+
+    The first is (1, ..., 1) and the last (n,).  Each next one drops the
+    last part x, raises the part before it by one and appends x - 1 ones.
+    """
     if n < 0:
         raise ValueError(f"compositions needs n >= 0, got {n}")
-    if n == 0:
-        return
-    for head in range(1, n + 1):
-        if head == n:
-            yield (head,)
-        else:
-            for rest in compositions(n - head):
-                yield (head,) + rest
+    parts = [1] * n
+    while len(parts) > 1:
+        yield tuple(parts)
+        x = parts.pop()
+        parts[-1] += 1
+        parts += [1] * (x - 1)
+    if n:
+        yield (n,)

@@ -49,8 +49,8 @@ from typing import Iterable, Mapping, NamedTuple
 from .compositions import Index
 from .errors import InadmissibleIndexError, ToleranceError
 from .harmonic import bell_polynomial, harmonic, harmonic_vector
-from .numeric import (ApproxReal, Rational, _Frozen, _lcm_sum, _slack, zeta_constant,
-                      zeta_pi_power_factor)
+from .numeric import (ApproxReal, Rational, _Frozen, _lcm_sum, _pi_power_factors, _slack,
+                      zeta_constant)
 
 __all__ = [
     "EtaIndex",
@@ -221,9 +221,12 @@ class ZetaExpr(_Frozen):
         if style not in ("zeta", "pi"):
             raise ValueError(f"unknown render style {style!r}")
         out = [str(self.constant)] if self.constant else []
+        # one table serves every even k; a zeta-style render builds none
+        factors = _pi_power_factors(self._items[-1][0]) if style == "pi" and self._items else ()
         for k, c in self._items:
-            if style == "pi" and k % 2 == 0:
-                c, symbol = c * zeta_pi_power_factor(k), f"pi^{k}"
+            if factors and k % 2 == 0:
+                num, den = factors[k // 2 - 1]
+                c, symbol = Fraction(c.numerator * num, c.denominator * den), f"pi^{k}"
             else:
                 symbol = f"zeta({k})"
             num, den = c.numerator, c.denominator

@@ -250,6 +250,17 @@ def zeta_constant(k: int, digits: int) -> ApproxReal:
 
 
 @functools.lru_cache(maxsize=None)
+def _pi_power_factors(top: int) -> tuple[tuple[int, int], ...]:
+    """zeta(2j)/pi^(2j) = |B_2j| 2^(2j-1) / (2j)! for j = 1..top // 2, all
+    read from one tangent-number table, as (numerator, denominator) pairs
+    left unreduced: a caller reduces only the products it uses."""
+    out, fact = [], 1
+    for j, b in enumerate(_bernoulli_table(max(top // 2, _EM_TERMS))[: top // 2], start=1):
+        fact *= (2 * j - 1) * 2 * j
+        out.append((abs(b.numerator) << (2 * j - 1), b.denominator * fact))
+    return tuple(out)
+
+
 def zeta_pi_power_factor(k: int) -> Rational:
     """The exact rational c with zeta(k) = c * pi**k, for even k >= 2.
 
@@ -257,7 +268,4 @@ def zeta_pi_power_factor(k: int) -> Rational:
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"pi-power form exists only for even k >= 2, got {k}")
-    m = k // 2
-    sign = Fraction((-1) ** (m + 1))
-    return sign * bernoulli_number(k) * 2 ** (k - 1) / math.factorial(k)
-
+    return Fraction(*_pi_power_factors(k)[-1])

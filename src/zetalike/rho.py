@@ -39,7 +39,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .compositions import Index, compositions, weak_compositions
+from .compositions import Index, compositions
 from .errors import InadmissibleIndexError
 from .numeric import Rational
 
@@ -88,14 +88,18 @@ def indices(
     weight: int, depth: int | None = None, last: int = 1
 ) -> Iterator[tuple[int, ...]]:
     """Every index of the given weight (and depth, if given) with entries
-    >= 1 and last entry >= ``last``, in lexicographic order."""
+    >= 1 and last entry >= ``last``, in lexicographic order.  A depth < 1
+    yields nothing.
+
+    At a fixed depth an index is the gaps between its cut points 0 < c_1 <
+    ... < c_{depth-1} <= weight - last, and ``combinations`` emits the cut
+    points in the order that makes those gaps lexicographic."""
     if depth is None:
         yield from (idx for idx in compositions(weight) if idx[-1] >= last)
-        return
-    free = weight - depth - last + 1
-    if free >= 0:
-        for comp in weak_compositions(free, depth):
-            yield tuple(c + 1 for c in comp[:-1]) + (comp[-1] + last,)
+    elif depth >= 1 and weight >= last:
+        lo, hi = (0,), (weight,)
+        for cuts in itertools.combinations(range(1, weight - last + 1), depth - 1):
+            yield tuple(map(operator.sub, cuts + hi, lo + cuts))
 
 
 def rho_exact(idx: RhoIndex | Iterable[int]) -> Rational:

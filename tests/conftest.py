@@ -22,6 +22,7 @@ from zetalike import (
     ZetaExpr,
     eta_symbolic,
     partial_fraction_shifted,
+    weak_compositions,
     zeta_constant,
 )
 from zetalike.harmonic import harmonic
@@ -255,6 +256,34 @@ def recursive_weak_compositions(n: int, k: int):
     for head in range(n + 1):
         for rest in recursive_weak_compositions(n - head, k - 1):
             yield (head,) + rest
+
+
+def reference_compositions(n: int):
+    """Compositions of n into positive parts by recursion on the first part,
+    one nested generator per part, in lexicographic order."""
+    if n < 0:
+        raise ValueError(f"compositions needs n >= 0, got {n}")
+    if n == 0:
+        return
+    for head in range(1, n + 1):
+        if head == n:
+            yield (head,)
+        else:
+            for rest in reference_compositions(n - head):
+                yield (head,) + rest
+
+
+def reference_indices(weight: int, depth: int | None = None, last: int = 1):
+    """Indices of the weight (and depth) with last entry >= ``last``: all of
+    :func:`reference_compositions` filtered, or at a fixed depth each weak
+    composition of weight - depth - last + 1 shifted up entry by entry."""
+    if depth is None:
+        yield from (idx for idx in reference_compositions(weight) if idx[-1] >= last)
+        return
+    free = weight - depth - last + 1
+    if free >= 0:
+        for comp in weak_compositions(free, depth):
+            yield tuple(c + 1 for c in comp[:-1]) + (comp[-1] + last,)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,11 +1,12 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from zetalike import weak_compositions
 from zetalike.compositions import Index, compositions
-from conftest import recursive_weak_compositions
+from conftest import recursive_weak_compositions, reference_compositions
 
 
 def _count(n, k):
@@ -98,3 +99,11 @@ class TestPositiveCompositions:
         assert list(compositions(0)) == []
         with pytest.raises(ValueError):
             list(compositions(-1))
+
+    def test_matches_recursive_reference(self):
+        for n in range(15):
+            assert list(compositions(n)) == list(reference_compositions(n)), n
+
+    def test_deep_composition_needs_no_recursion(self):
+        n = sys.getrecursionlimit() + 200
+        assert next(compositions(n)) == (1,) * n

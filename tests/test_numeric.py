@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +13,7 @@ from zetalike import (
     ToleranceError,
     ZetaExpr,
     bernoulli_number,
+    eta_symbolic,
     zeta_constant,
     zeta_pi_power_factor,
 )
@@ -54,6 +57,29 @@ class TestBernoulli:
     def test_pi_power_factor_rejects_odd(self):
         with pytest.raises(ValueError):
             zeta_pi_power_factor(3)
+
+    def test_pi_render_builds_one_table(self):
+        value = eta_symbolic((400, 2))
+        for cache in (numeric._bernoulli_table, numeric.bernoulli_number,
+                      numeric._pi_power_factors):
+            cache.cache_clear()
+        value.render("pi")
+        assert numeric._bernoulli_table.cache_info().currsize == 1
+        value.render("zeta")
+        assert numeric._pi_power_factors.cache_info().currsize == 1
+
+    def test_pi_render_matches_recurrence(self):
+        # zeta(k) = (-1)^(k/2+1) B_k 2^(k-1) / k! pi^k, with B_k from the
+        # defining recurrence instead of the tangent-number table
+        value = eta_symbolic((200, 2))
+        assert max(k for k in value.coeffs if k % 2 == 0) > 2 * numeric._EM_TERMS
+        scaled = {k: c * (-1) ** (k // 2 + 1) * recurrence_bernoulli(k) * 2 ** (k - 1)
+                  / math.factorial(k) if k % 2 == 0 else c
+                  for k, c in value.coeffs.items()}
+        want = re.sub(r"zeta\((\d+)\)",
+                      lambda m: f"pi^{m[1]}" if int(m[1]) % 2 == 0 else m[0],
+                      ZetaExpr(value.constant, scaled).render())
+        assert value.render("pi") == want
 
 
 class TestZetaConstant:

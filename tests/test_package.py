@@ -141,9 +141,10 @@ def test_import_defines_no_dataclass_and_builds_no_table():
         "from zetalike import numeric, tables\n"
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)),\n"
         "      numeric._bernoulli_table.cache_info().currsize,\n"
-        "      tables._eta_table.cache_info().currsize)\n"
+        "      tables._eta_table.cache_info().currsize,\n"
+        "      numeric._pi_power_factors.cache_info().currsize)\n"
     )
-    assert _fresh(code).strip() == "[] 0 0"
+    assert _fresh(code).strip() == "[] 0 0 0"
 
 
 def test_root_exports_load_their_home_on_first_use():

@@ -22,7 +22,8 @@ from zetalike import (
 import zetalike.rho
 from zetalike.compositions import compositions
 from zetalike.rho import indices
-from conftest import brute_rho_partial, fraction_rho_partial, fraction_suffix_balance
+from conftest import (brute_rho_partial, fraction_rho_partial, fraction_suffix_balance,
+                      reference_indices)
 from zetalike.verify import CHECKS
 
 
@@ -39,10 +40,24 @@ class TestIndices:
                     ]
                     assert list(indices(weight, depth, last)) == want
 
+    def test_matches_reference(self):
+        for weight in range(17):
+            for depth in (None, *range(1, weight + 2)):
+                for last in range(1, 5):
+                    want = list(reference_indices(weight, depth, last))
+                    assert list(indices(weight, depth, last)) == want, (weight, depth, last)
+
     def test_empty_sets_raise_nothing(self):
         assert list(indices(1, last=2)) == []
         assert list(indices(3, 3, 2)) == []
         assert list(indices(2, 3)) == []
+        assert list(indices(1, 0, 2)) == []
+        assert list(indices(0, 0, 1)) == []
+        assert list(indices(5, -1)) == []
+        # the rho sum over an empty set is 0
+        for weight, depth, last in ((1, 1, 2), (3, 3, 2), (4, 2, 4)):
+            assert list(indices(weight, depth, last)) == []
+            assert zetalike.rho._rho_sum(weight, depth, last) == 0
 
 
 class TestRhoIndex:
