@@ -27,7 +27,10 @@ __all__ = ["Index", "weak_compositions", "compositions"]
 class Index(_Frozen):
     """An immutable, hashable index (s_1, ..., s_r) of integer entries; it
     equals only an index of its own class with the same entries.  A
-    subclass's ``__init__`` calls this one and then checks admissibility."""
+    subclass's ``__init__`` calls this one and then checks admissibility.
+
+    A cached value function is keyed by :meth:`key`, the exact-int tuple of
+    entries, and builds the index (so validates it) only on a miss."""
 
     __slots__ = ("parts",)
 
@@ -40,6 +43,15 @@ class Index(_Frozen):
     @classmethod
     def coerce(cls, idx: Self | Iterable[int]) -> Self:
         return idx if isinstance(idx, cls) else cls(idx)
+
+    @classmethod
+    def key(cls, idx: Self | Iterable[int]) -> tuple[int, ...]:
+        """The entries of ``idx`` as a tuple of exact ints, without the
+        admissibility check: ``parts`` of an instance of this class, else
+        ``operator.index`` of each entry, which refuses a float with
+        ``TypeError`` and turns ``True`` into 1, as ``__init__`` does.  So a
+        key never lets ``(2.0, 1.0)`` share the cache entry of ``(2, 1)``."""
+        return idx.parts if isinstance(idx, cls) else tuple(map(operator.index, idx))
 
     @property
     def depth(self) -> int:

@@ -333,7 +333,9 @@ def _harmonic_prefixes(n: int, power: int) -> tuple[Rational, ...]:
 
 
 @lru_cache(maxsize=None)
-def _eta_symbolic_cached(idx: EtaIndex) -> ZetaExpr:
+def _eta_symbolic_cached(parts: tuple[int, ...]) -> ZetaExpr:
+    # a miss is the one place a key is validated, and a refused key is not cached
+    idx = EtaIndex(parts)
     table = partial_fraction_shifted(idx)
     # (H_0^(k), ..., H_{r-1}^(k)) for each power k a row after the first
     # reaches; the first row reads only H_0 = 0
@@ -360,8 +362,12 @@ def eta_symbolic(idx: EtaIndex | Iterable[int]) -> ZetaExpr:
     Summing the partial fractions over n >= 1: each (j, k >= 2) cell
     contributes c[j][k] (zeta(k) - H_{j-1}^(k)); the k = 1 cells jointly
     contribute - sum_j c[j][1] H_{j-1}.
+
+    Values are cached on ``EtaIndex.key(idx)``, the tuple of exact-int
+    entries, so a repeated call builds no index; the ``EtaIndex`` is built,
+    and its admissibility checked, only on a miss.
     """
-    return _eta_symbolic_cached(EtaIndex.coerce(idx))
+    return _eta_symbolic_cached(EtaIndex.key(idx))
 
 
 def eta_numeric(

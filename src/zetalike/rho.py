@@ -13,8 +13,8 @@ series to the exact rational
     rho(s) = 1 / ( |a|! * prod_{k=1..r} (a_k + a_{k+1} + ... + a_r) ),
 
 which is what :func:`rho_exact` evaluates.  Convergence needs s_r >= 2 (so
-every suffix sum is >= 1); admissibility is checked once, at index
-construction, and nowhere else.
+every suffix sum is >= 1); admissibility is checked once, when
+:func:`rho_exact` misses its cache and builds the index, and nowhere else.
 
 Fixed-weight sums of rho-values never build a value per index.  With |a|
 fixed, rho = 1/(|a|! P), P the product of the suffix sums: top, then top -
@@ -37,6 +37,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .compositions import Index, compositions
@@ -89,11 +90,12 @@ def indices(
 ) -> Iterator[tuple[int, ...]]:
     """Every index of the given weight (and depth, if given) with entries
     >= 1 and last entry >= ``last``, in lexicographic order.  A depth < 1
-    yields nothing.
+    yields nothing, and a ``last`` < 1 acts as 1.
 
     At a fixed depth an index is the gaps between its cut points 0 < c_1 <
     ... < c_{depth-1} <= weight - last, and ``combinations`` emits the cut
     points in the order that makes those gaps lexicographic."""
+    last = max(last, 1)
     if depth is None:
         yield from (idx for idx in compositions(weight) if idx[-1] >= last)
     elif depth >= 1 and weight >= last:
@@ -103,9 +105,20 @@ def indices(
 
 
 def rho_exact(idx: RhoIndex | Iterable[int]) -> Rational:
-    """Exact value 1/(|a|! * prod of suffix sums of a)."""
-    a = RhoIndex.coerce(idx).alpha
-    return Fraction(1, math.factorial(sum(a)) * math.prod(itertools.accumulate(reversed(a))))
+    """Exact value 1/(|a|! * prod of suffix sums of a).
+
+    Values are cached on ``RhoIndex.key(idx)``, the tuple of exact-int
+    entries, so a repeated call builds no index; the ``RhoIndex`` is built,
+    and its admissibility checked, only on a miss."""
+    return _rho_exact_cached(RhoIndex.key(idx))
+
+
+@lru_cache(maxsize=None)
+def _rho_exact_cached(parts: tuple[int, ...]) -> Rational:
+    RhoIndex(parts)  # the admissibility check; a refused key raises and is not cached
+    # the suffix sums of a = s - 1 are those of s less 1, 2, ..., r
+    suffix = map(operator.sub, itertools.accumulate(reversed(parts)), itertools.count(1))
+    return Fraction(1, math.factorial(sum(parts) - len(parts)) * math.prod(suffix))
 
 
 def rho_series_partial_at(

@@ -73,6 +73,19 @@ def test_index_renders_and_measures():
     assert (idx.depth, idx.weight, str(Index(()))) == (3, 6, "()")
 
 
+def test_index_key_is_the_exact_int_tuple():
+    idx = Index([3, 1, 2])
+    assert Index.key(idx) is idx.parts
+    for same in ([3, 1, 2], (p for p in (3, 1, 2)), (3, True, 2)):
+        key = Index.key(same)
+        assert key == (3, 1, 2) and all(type(p) is int for p in key)
+    # the key checks no admissibility, only integrality
+    assert Index.key((0, -1)) == (0, -1) and Index.key(()) == ()
+    for bad in ((2.0, 1), ("3",), (1, 2.5)):
+        with pytest.raises(TypeError):
+            Index.key(bad)
+
+
 class TestPositiveCompositions:
     def test_weight_four(self):
         assert list(compositions(4)) == [

@@ -35,6 +35,7 @@ from zetalike import (
     eta_restricted_triple_sum,
     eta_symbolic,
     partial_fraction_shifted,
+    rho_exact,
     weak_compositions,
 )
 from zetalike.compositions import compositions
@@ -388,6 +389,50 @@ class TestEtaSymbolic:
             eta_symbolic(list(parts))
             eta_symbolic(EtaIndex(parts))
         assert calls == distinct
+
+    def test_warm_call_builds_no_index(self, monkeypatch):
+        eta_symbolic((2, 1, 3))
+        rho_exact((2, 1, 3))
+
+        def refuse(self, parts):
+            raise AssertionError(f"a warm call built {type(self).__name__}{tuple(parts)}")
+
+        monkeypatch.setattr(EtaIndex, "__init__", refuse)
+        monkeypatch.setattr(RhoIndex, "__init__", refuse)
+        assert eta_symbolic((2, 1, 3)) == pairwise_eta((2, 1, 3))
+        assert rho_exact((2, 1, 3)) == Fraction(1, 72)
+
+    def test_float_entries_refused_when_the_int_index_is_warm(self):
+        # (2.0, 1.0) == (2, 1) and the two hash alike, so the cache key must
+        # be built from exact ints
+        eta_symbolic((2, 1))
+        with pytest.raises(TypeError):
+            eta_symbolic((2.0, 1.0))
+        with pytest.raises(TypeError):
+            eta_symbolic([2, 1.0])
+
+    def test_bool_entry_is_one(self):
+        eta_symbolic((1, 1))
+        assert eta_symbolic((True, 1)) == eta_symbolic((1, 1)) == ZetaExpr(1)
+        assert eta_symbolic((2, True)) == pairwise_eta((2, 1))
+
+    @pytest.mark.parametrize("bad", [(0, 2), (1,), ()])
+    def test_refused_index_is_not_cached(self, bad):
+        cache = zetalike.eta._eta_symbolic_cached
+        size = cache.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(InadmissibleIndexError):
+                eta_symbolic(bad)
+        assert cache.cache_info().currsize == size
+
+    def test_every_form_of_an_index_shares_one_entry(self):
+        cache = zetalike.eta._eta_symbolic_cached
+        cache.cache_clear()
+        first = eta_symbolic((3, 1, 2))
+        for same in ([3, 1, 2], (p for p in (3, 1, 2)), EtaIndex((3, 1, 2))):
+            assert eta_symbolic(same) is first
+        assert cache.cache_info().currsize == 1
+        assert cache.cache_info().hits == 3
 
 
 class TestEtaNumeric:

@@ -47,6 +47,18 @@ class TestIndices:
                     want = list(reference_indices(weight, depth, last))
                     assert list(indices(weight, depth, last)) == want, (weight, depth, last)
 
+    def test_last_below_one_acts_as_one(self):
+        # every fixed-depth output is the depth-None output of that length
+        for weight in range(11):
+            for last in range(-2, 5):
+                every = list(indices(weight, None, last))
+                assert every == list(indices(weight, None, max(last, 1)))
+                for depth in range(1, weight + 2):
+                    want = [idx for idx in every if len(idx) == depth]
+                    assert list(indices(weight, depth, last)) == want, (weight, depth, last)
+        assert list(indices(3, 2, 0)) == [(1, 2), (2, 1)]
+        assert list(indices(0, 1, -1)) == []
+
     def test_empty_sets_raise_nothing(self):
         assert list(indices(1, last=2)) == []
         assert list(indices(3, 3, 2)) == []
@@ -102,6 +114,44 @@ class TestRhoExact:
 
         for s in range(1, 9):
             assert rho_exact((s + 1,)) == Fraction(1, s * factorial(s))
+
+    def test_validates_once_at_the_boundary(self, monkeypatch):
+        calls = []
+        check = RhoIndex.__init__
+
+        def counting(self, parts):
+            calls.append(tuple(parts))
+            check(self, parts)
+
+        monkeypatch.setattr(RhoIndex, "__init__", counting)
+        zetalike.rho._rho_exact_cached.cache_clear()
+        assert rho_exact((2, 1, 3)) == Fraction(1, 72)
+        assert calls == [(2, 1, 3)]
+        assert rho_exact((2, 1, 3)) == Fraction(1, 72)
+        assert calls == [(2, 1, 3)]
+
+    def test_float_entries_refused_when_the_int_index_is_warm(self):
+        rho_exact((2, 2))
+        with pytest.raises(TypeError):
+            rho_exact((2.0, 2.0))
+        assert rho_exact((True, 2)) == rho_exact((1, 2))
+
+    def test_refused_index_is_not_cached(self):
+        cache = zetalike.rho._rho_exact_cached
+        size = cache.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(InadmissibleIndexError):
+                rho_exact((2, 1))
+        assert cache.cache_info().currsize == size
+
+    def test_every_form_of_an_index_shares_one_entry(self):
+        cache = zetalike.rho._rho_exact_cached
+        cache.cache_clear()
+        first = rho_exact((1, 3))
+        for same in ([1, 3], (p for p in (1, 3)), RhoIndex((1, 3))):
+            assert rho_exact(same) is first
+        assert cache.cache_info().currsize == 1
+        assert cache.cache_info().hits == 3
 
 
 class TestSeriesPartial:

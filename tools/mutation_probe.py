@@ -1,13 +1,14 @@
 """Sample ast mutants of zetalike modules and report which the tests kill.
 
-    python3 tools/mutation_probe.py src/zetalike/verify.py [...]
+    python3 tools/mutation_probe.py [--all] src/zetalike/verify.py [...]
 
 Sites are arithmetic, boolean and comparison operators (``+`` <-> ``-``,
 ``<`` <-> ``<=``, ...) and integer literals (``n`` -> ``n + 1``); a fixed seed
-samples MUTANTS per module.  Each mutant goes into a copy of the repository in
-a temporary directory, never into the tree, and the module's own test files
-(``tests/test_<module>*.py``) run against it in one pytest process at a time.
-A failing or timed-out run kills it.  Prints the kill rate and the survivors.
+samples MUTANTS per module, or ``--all`` mutates every site once.  Each mutant
+goes into a copy of the repository in a temporary directory, never into the
+tree, and the module's own test files (``tests/test_<module>*.py``) run
+against it in one pytest process at a time.  A failing or timed-out run kills
+it.  Prints the kill rate and the survivors.
 """
 
 import ast
@@ -70,7 +71,7 @@ def run_tests(copy: Path, tests: list[str], timeout: float | None) -> bool:
     return done.returncode == 0
 
 
-def probe(module: Path, copy: Path) -> tuple[int, int]:
+def probe(module: Path, copy: Path, every: bool) -> tuple[int, int]:
     rel = module.resolve().relative_to(ROOT)
     tests = sorted(str(p.relative_to(ROOT)) for p in ROOT.glob(f"tests/test_{module.stem}*.py"))
     source = module.read_text()
@@ -79,7 +80,7 @@ def probe(module: Path, copy: Path) -> tuple[int, int]:
         sys.exit(f"{rel}: no test files, or they fail unmutated: {tests}")
     timeout = 5 * (time.perf_counter() - start) + 10
     found = sites(ast.parse(source))
-    sample = sorted(random.Random(SEED).sample(found, min(MUTANTS, len(found))))
+    sample = found if every else sorted(random.Random(SEED).sample(found, min(MUTANTS, len(found))))
     survivors = []
     for site in sample:
         text, what = mutate(source, *site)
@@ -95,14 +96,17 @@ def probe(module: Path, copy: Path) -> tuple[int, int]:
 
 
 def main() -> None:
-    if len(sys.argv) < 2:
+    every = sys.argv[1:2] == ["--all"]
+    modules = sys.argv[2:] if every else sys.argv[1:]
+    if not modules:
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", "*.egg-info"))
-        results = [probe(Path(m), copy) for m in sys.argv[1:]]
+        results = [probe(Path(m), copy, every) for m in modules]
     killed, total = map(sum, zip(*results))
-    print(f"kill rate: {killed} of {total} ({100 * killed / max(total, 1):.0f}%), seed {SEED}")
+    how = "every site" if every else f"seed {SEED}"
+    print(f"kill rate: {killed} of {total} ({100 * killed / max(total, 1):.0f}%), {how}")
 
 
 if __name__ == "__main__":
