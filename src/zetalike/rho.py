@@ -22,6 +22,13 @@ c_i for the stars-and-bars cut points c_i.  So a sum ranges over
 ``combinations_with_replacement`` of suffix sums, adds the integers L/P in C,
 L a power of lcm(lo..top), and builds one ``Fraction``.
 
+The fixed-weight rho sum and :func:`suffix_balance_sum` are module-level
+caches (``functools.lru_cache``) keyed on exact ints, so a replayed suite
+enumerates nothing it has summed before.  :func:`suffix_balance_sum` converts
+its arguments with ``operator.index`` before the lookup, so ``(2.0, 3)`` is
+refused even when the equal ``(2, 3)`` is warm, and checks ``q, n >= 0``
+inside the cached function, so a refused call raises and is never cached.
+
 :func:`rho_series_partial_at` sums the series itself, a cross-check that
 shares no code with :func:`rho_exact`.  It keeps integer numerators over one
 running common denominator and cuts the sweep into segments that end at each
@@ -181,7 +188,8 @@ def rho_series_partial_at(
     return out
 
 
-def _rho_sum(weight: int, depth: int, last: int = 2) -> Rational:
+@lru_cache(maxsize=None)
+def _rho_sum(weight: int, depth: int, last: int) -> Rational:
     # rho summed over indices(weight, depth, last): a = c + (0, ..., 0, last - 1)
     # for c a weak composition of free, so |a| = weight - depth and the suffix
     # sums are top = free + last - 1 and depth - 1 more in [last - 1, top]
@@ -200,9 +208,16 @@ def suffix_balance_sum(q: int, n: int) -> Rational:
 
     The identity under test says this equals 1 for every q, n >= 0 (the q=0
     empty product makes the single term 1).  The exact sum is returned, not
-    asserted.
+    asserted.  Sums are cached on ``(operator.index(q), operator.index(n))``,
+    so a float or a string raises ``TypeError`` even when the equal int pair
+    is cached.
     """
-    if q < 0 or n < 0:
+    return _suffix_balance_cached(operator.index(q), operator.index(n))
+
+
+@lru_cache(maxsize=None)
+def _suffix_balance_cached(q: int, n: int) -> Rational:
+    if q < 0 or n < 0:  # inside the cache, so a refused pair raises and is not cached
         raise ValueError(f"need q, n >= 0, got ({q}, {n})")
     # the factors are T_1 = n + 1 >= T_2 >= ... >= T_q, T_j = a_j + ... + a_{q+1} + 1
     top = n + 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import FixtureError, ZetalikeError
@@ -230,7 +230,7 @@ def _rho_eta_connection(q: int, r: int) -> Iterator[Value]:
     just the totals to agree numerically.
     """
     yield _eta_sum(indices(q + r + 2, r + 2))
-    yield _rho_sum(q + r + 2, q + 1)
+    yield _rho_sum(q + r + 2, q + 1, 2)
 
 
 @_check("eta-hook-sum", "hook", _grid(n=range(1, 6), q=range(4)), lambda n, q: n + q + 2)
@@ -271,7 +271,7 @@ def _remark_chain(n: int, q: int) -> Iterator[Value]:
     D: sum_{|a|=q+1} eta(a_1+1, ..., a_{n+1}+1).
     """
     yield from _eta_hook_sum(n, q)
-    yield _rho_sum(q + n + 2, q + 2)
+    yield _rho_sum(q + n + 2, q + 2, 2)
     yield _eta_sum(indices(q + n + 2, n + 1))
 
 
@@ -393,9 +393,20 @@ def _quadrature_integral(n: int, q: int) -> Iterator[Value]:
 
     numerically.  The substitution t1 = u t2 maps the triangle onto the unit
     square with integrand (log(1/u))^q (1 - u t2)^(n-1), which tanh-sinh
-    handles at both singular corners.
+    handles at both singular corners.  The rhs comes from
+    :func:`_quadrature_value`, cached on ``(n, q)``, so a warm rerun
+    integrates nothing; the lhs is yielded first, so a refused ``(n, q)``
+    raises before the cache is reached.
     """
     yield _eta_sum(indices(q + n + 2, n + 1)).numeric(14)
+    yield _quadrature_value(n, q)
+
+
+@lru_cache(maxsize=None)
+def _quadrature_value(n: int, q: int) -> _Quadrature:
+    """The quadrature check's rhs, the tanh-sinh value of the unit-square
+    integral scaled by 1/(n! q!).  A ``_Quadrature`` is immutable, so every
+    caller may share the cached one."""
     import mpmath
     import numpy as np
 
@@ -405,7 +416,7 @@ def _quadrature_integral(n: int, q: int) -> Iterator[Value]:
 
     value, est, level = integrate_unit_square(integrand, _QUADRATURE_TOL / 4)
     scale = 1.0 / (math.factorial(n) * math.factorial(q))
-    yield _Quadrature(mpmath.mpf(value * scale), mpmath.mpf(est * scale * 2 + 1e-14), 17, level)
+    return _Quadrature(mpmath.mpf(value * scale), mpmath.mpf(est * scale * 2 + 1e-14), 17, level)
 
 
 # suite name -> its check ids

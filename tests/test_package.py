@@ -110,6 +110,56 @@ def test_unused_import_check_sees_annotations_and_all():
     assert unused_imports(source) == ["os", "Iterator"]
 
 
+def cached_functions(source: str) -> dict[str, list[str]]:
+    """The functions of ``source`` that ``lru_cache`` or ``functools.cache``
+    decorates, as ``"line: name"``, split into those at module top level and
+    those nested in a class or another function."""
+    tree = ast.parse(source)
+    out = {"top": [], "nested": []}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name in ("lru_cache", "cache"):
+                out["top" if node in tree.body else "nested"].append(f"{node.lineno}: {node.name}")
+    return out
+
+
+def test_every_cache_is_at_module_top_level():
+    # the benchmark's cold runs and the tests clear the caches they find as
+    # module attributes; a cache nested in a class or a function escapes both,
+    # so a "cold" run would silently measure a warm one
+    found = {
+        path.name: cached_functions(path.read_text())
+        for path in sorted(Path(zetalike.__file__).parent.glob("*.py"))
+    }
+    assert {name: f["nested"] for name, f in found.items() if f["nested"]} == {}
+    assert "_suffix_balance_cached" in str(found["rho.py"]["top"])
+    assert "_quadrature_value" in str(found["verify.py"]["top"])
+
+
+def test_cache_scan_sees_nested_and_attribute_forms():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache, cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(): pass\n"
+        "@functools.cache\n"
+        "def b(): pass\n"
+        "def c():\n"
+        "    @lru_cache\n"
+        "    def d(): pass\n"
+        "class E:\n"
+        "    @functools.lru_cache(maxsize=8)\n"
+        "    def f(self): pass\n"
+        "    @staticmethod\n"
+        "    def g(): pass\n"
+    )
+    assert cached_functions(source) == {"top": ["4: a", "6: b"], "nested": ["9: d", "12: f"]}
+
+
 def _fresh(code: str) -> str:
     """stdout of ``code`` run in a fresh interpreter that imports zetalike
     from the same sources as this process."""

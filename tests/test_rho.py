@@ -359,6 +359,40 @@ class TestSumFormulas:
                 assert type(got) is Fraction
                 assert got == fraction_suffix_balance(q, n), (q, n)
 
+    def test_suffix_balance_refuses_floats_when_the_int_pair_is_warm(self):
+        # (2.0, 3) == (2, 3) and the two hash alike, so the cache key must be
+        # built from exact ints
+        suffix_balance_sum(2, 3)
+        for bad in ((2.0, 3), (2, 3.0)):
+            with pytest.raises(TypeError):
+                suffix_balance_sum(*bad)
+
+    def test_suffix_balance_bool_is_an_int(self):
+        assert suffix_balance_sum(True, 3) == suffix_balance_sum(1, 3) == 1
+        assert suffix_balance_sum(2, False) == suffix_balance_sum(2, 0) == 1
+
+    @pytest.mark.parametrize("bad", [(-1, 2), (2, -1)])
+    def test_suffix_balance_refusal_is_not_cached(self, bad):
+        cache = zetalike.rho._suffix_balance_cached
+        size = cache.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="need q, n >= 0"):
+                suffix_balance_sum(*bad)
+        assert cache.cache_info().currsize == size
+
+    def test_suffix_balance_is_summed_once(self):
+        cache = zetalike.rho._suffix_balance_cached
+        cache.cache_clear()
+        first = suffix_balance_sum(3, 4)
+        assert suffix_balance_sum(3, 4) is first
+        assert cache.cache_info()[:2] == (1, 1)
+
+    def test_rho_sum_is_summed_once(self):
+        zetalike.rho._rho_sum.cache_clear()
+        first = zetalike.rho._rho_sum(7, 3, 2)
+        assert zetalike.rho._rho_sum(7, 3, 2) is first
+        assert zetalike.rho._rho_sum.cache_info()[:2] == (1, 1)
+
 
 class TestClosedFamilies:
     def test_head_ones_example(self):
@@ -393,6 +427,12 @@ class TestClosedFamilies:
         for a in range(1, 5):
             for n in range(1, 4):
                 assert rho_alternating(a, n) == rho_exact((1, a + 1) * n)
+
+    @pytest.mark.parametrize("family", [rho_uniform, rho_alternating])
+    def test_uniform_and_alternating_need_both_parameters_positive(self, family):
+        for a, n in ((0, 1), (1, 0), (0, 0), (-1, 2), (2, -1)):
+            with pytest.raises(InadmissibleIndexError):
+                family(a, n)
 
     def test_increasing(self):
         for n in range(2, 7):

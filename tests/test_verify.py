@@ -18,6 +18,7 @@ from zetalike import (
     zeta_constant,
 )
 from conftest import fraction_eta_sum, fraction_rho_sum, fraction_rho_weighted_lhs
+import zetalike.rho
 from zetalike import verify
 from zetalike.errors import FixtureError
 from zetalike.rho import indices
@@ -207,7 +208,7 @@ class TestIndependentSides:
         star = verify.mzv_star_truncated
 
         def leaky(*args):
-            verify._rho_sum(2, 1)
+            verify._rho_sum(2, 1, 2)
             return star(*args)
 
         monkeypatch.setattr(verify, "mzv_star_truncated", leaky)
@@ -223,6 +224,77 @@ class TestIndependentSides:
         assert calls[2] == {"zetalike.rho._rho_sum"}
         # a warm eta cache would hide the kernel from the second recording
         assert _link_calls("remark-chain", {"n": 2, "q": 1}) == calls
+
+
+class _NoRhoSums:
+    """``rho.itertools`` with the stars-and-bars enumeration behind
+    ``_rho_sum`` and ``suffix_balance_sum`` refused, and all else kept."""
+
+    def __getattr__(self, name):
+        return getattr(itertools, name)
+
+    @staticmethod
+    def combinations_with_replacement(*args):
+        raise AssertionError("a rho or balance sum was enumerated")
+
+
+def _no_quadrature(*args):
+    raise AssertionError("a quadrature value was integrated")
+
+
+class TestWarmCaches:
+    """A warm session recomputes no rho sum, balance sum or quadrature value."""
+
+    def test_a_warm_suite_enumerates_and_integrates_nothing(self, monkeypatch):
+        first = run_suite("all")
+        monkeypatch.setattr(zetalike.rho, "itertools", _NoRhoSums())
+        monkeypatch.setattr(verify, "integrate_unit_square", _no_quadrature)
+        again = run_suite("all")
+        assert [r.to_json_dict() for r in again] == [r.to_json_dict() for r in first]
+        assert rerun(first[-1]).to_json_dict() == first[-1].to_json_dict()
+        # the patches bite once the caches are cold, so the run above was warm
+        for cache in CACHES:
+            cache.cache_clear()
+        for identity_id, params in (("rho-sum-general", {"r": 1, "s": 0, "q": 1}),
+                                    ("suffix-balance", {"q": 2, "n": 3}),
+                                    ("quadrature-integral", {"n": 1, "q": 0})):
+            with pytest.raises(AssertionError, match="was (enumerated|integrated)"):
+                run_check(identity_id, **params)
+
+    def test_a_float_cell_is_refused_when_the_int_cell_is_warm(self):
+        # 2.0 == 2 and the two hash alike, so a cache keyed on a parameter as
+        # given would answer the float cell from the warm int one; the table
+        # checks are left out, since their weight is only a label
+        run_suite("all")
+        for cid in (cid for cid in CHECKS if CHECKS[cid].suite != "tables"):
+            for key in CHECKS[cid].grid[-1]:
+                params = dict(CHECKS[cid].grid[-1], **{key: float(CHECKS[cid].grid[-1][key])})
+                with pytest.raises(TypeError):
+                    run_check(cid, **params)
+
+    def test_one_rho_sum_entry_per_cell(self):
+        # every caller spells (weight, depth, last) in full, so the checks
+        # that reach one sum share one cache entry
+        zetalike.rho._rho_sum.cache_clear()
+        run_suite("all")
+        info = zetalike.rho._rho_sum.cache_info()
+        assert info.currsize == info.misses == len(_rho_sum_cells(lambda grid: grid))
+
+    def test_a_cold_quadrature_cell_integrates_once(self, monkeypatch):
+        calls = []
+        integrate = verify.integrate_unit_square
+
+        def counting(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(verify, "integrate_unit_square", counting)
+        for cache in CACHES:
+            cache.cache_clear()
+        rep = run_check("quadrature-integral", n=2, q=1)
+        assert rep.passed and len(calls) == 1
+        assert rerun(rep) == rep and len(calls) == 1
+        assert verify._quadrature_value.cache_info().currsize == 1
 
 
 class TestHookSum:
@@ -432,6 +504,9 @@ class TestRegistry:
         assert len(all_reports) == 619
         for rep in all_reports:
             assert rerun(rep).to_json_dict() == rep.to_json_dict(), rep.identity_id
+
+    def test_every_report_passes(self, all_reports):
+        assert [(r.identity_id, r.parameters) for r in all_reports if not r.passed] == []
 
     def test_every_report_survives_pickle_and_deepcopy(self, all_reports):
         assert pickle.loads(pickle.dumps(all_reports)) == all_reports
