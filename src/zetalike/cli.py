@@ -21,9 +21,10 @@ import itertools
 import json
 import math
 import sys
+from typing import Sequence
 
 from .errors import ZetalikeError
-from .eta import MAX_DIGITS, eta_numeric, eta_symbolic
+from .eta import MAX_DIGITS, _eta_weight_values, eta_numeric, eta_symbolic
 from .rho import RhoIndex, indices, rho_exact
 from .verify import SUITES, run_suite, value_to_json
 
@@ -152,11 +153,14 @@ def _cmd_eta(args) -> tuple[int, str]:
     )
 
 
-def _table_values(family: str, weight: int) -> list[tuple[tuple[int, ...], object]]:
-    """(index, exact value) for every admissible index of the weight."""
+def _table_values(family: str, weight: int) -> Sequence[tuple[tuple[int, ...], object]]:
+    """(index, exact value) for every admissible index of the weight, in
+    lexicographic order.  A rho table is built one ``rho_exact`` at a time,
+    an eta table is the cached batch ``eta._eta_weight_values(weight)``,
+    which runs the kernel once per pair of reversed indices."""
     if family == "rho":
         return [(idx, rho_exact(idx)) for idx in indices(weight, last=2)]
-    return [(idx, eta_symbolic(idx)) for idx in indices(weight)]
+    return _eta_weight_values(weight)
 
 
 def _cmd_table(args) -> tuple[int, str]:

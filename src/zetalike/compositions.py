@@ -27,15 +27,32 @@ __all__ = ["Index", "weak_compositions", "compositions"]
 class Index(_Frozen):
     """An immutable, hashable index (s_1, ..., s_r) of integer entries; it
     equals only an index of its own class with the same entries.  A
-    subclass's ``__init__`` calls this one and then checks admissibility.
+    subclass overrides :meth:`_check`, its admissibility check, which both
+    ``__init__`` and :meth:`_of_key` run.
 
     A cached value function is keyed by :meth:`key`, the exact-int tuple of
-    entries, and builds the index (so validates it) only on a miss."""
+    entries, and builds the index with :meth:`_of_key` (so validates it)
+    only on a miss."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        object.__setattr__(self, "parts", tuple(map(operator.index, parts)))
+        parts = tuple(map(operator.index, parts))
+        self._check(parts)
+        object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def _of_key(cls, key: tuple[int, ...]) -> Self:
+        """The index of ``key``, a tuple of exact ints such as :meth:`key`
+        returns: checked for admissibility, its entries not converted again."""
+        cls._check(key)
+        idx = object.__new__(cls)
+        object.__setattr__(idx, "parts", key)
+        return idx
+
+    @staticmethod
+    def _check(parts: tuple[int, ...]) -> None:
+        """Raise unless ``parts`` is admissible; any tuple of ints is."""
 
     def _args(self) -> tuple:
         return (self.parts,)

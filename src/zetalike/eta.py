@@ -31,6 +31,17 @@ take the numerator and denominator of the cached H_{j-1}^(k)), so the value
 costs one ``Fraction`` per coefficient.  The first-order cancellation is
 checked on the integer numerator of sum_j c[j][1].
 
+Reversal.  Let s' = (s_r, ..., s_1), of weight w, and f_s(x) = prod_j
+(x+j-1)^(-s_j).  Then f_{s'}(x) = (-1)^w f_s(-x-r+1), since the factor
+(x+r-j)^(-s_j) of f_{s'} is (-1)^(s_j) ((-x-r+1)+j-1)^(-s_j).  Its pole
+c[j][k] / (y+j-1)^k at y = -x-r+1 is (-1)^k c[j][k] / (x+r-j)^k, so
+c'[r+1-j][k] = (-1)^(w+k) c[j][k]: the table of s' is that of s read from
+the other end with signs, and every zeta(k) coefficient of eta(s') is
+(-1)^(w+k) times that of eta(s).  Only the constants differ, as they read
+the harmonic prefixes at the other positions.  So ``_eta_weight_values``,
+the eta-values of one weight, calls the kernel once per reversal class and
+sums only the constant of the second member.
+
 :class:`ZetaExpr` is a value, not an algebra.  Values are added only by
 ``ZetaExpr.sum`` over (integer weight, value) pairs, which shares that
 per-key step with the eta assembly; every eta-sum and every discrepancy the
@@ -44,9 +55,9 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .compositions import Index
+from .compositions import Index, compositions
 from .errors import InadmissibleIndexError, ToleranceError
 from .harmonic import bell_polynomial, harmonic, harmonic_vector
 from .numeric import (ApproxReal, Rational, _Frozen, _lcm_sum, _pi_power_factors, _slack,
@@ -75,9 +86,8 @@ class EtaIndex(Index):
 
     __slots__ = ()
 
-    def __init__(self, parts: Iterable[int]):
-        super().__init__(parts)
-        parts = self.parts
+    @staticmethod
+    def _check(parts: tuple[int, ...]) -> None:
         if not parts:
             raise InadmissibleIndexError("eta-index needs depth >= 1")
         if min(parts) < 1:
@@ -332,28 +342,72 @@ def _harmonic_prefixes(n: int, power: int) -> tuple[Rational, ...]:
         (Fraction(1, k**power) for k in range(1, n + 1)), initial=Fraction(0)))
 
 
-@lru_cache(maxsize=None)
-def _eta_symbolic_cached(parts: tuple[int, ...]) -> ZetaExpr:
-    # a miss is the one place a key is validated, and a refused key is not cached
-    idx = EtaIndex(parts)
-    table = partial_fraction_shifted(idx)
+def _assemble(rows: Sequence[tuple[tuple[int, int], ...]],
+              mirror: ZetaExpr | None = None) -> ZetaExpr:
+    # the eta-value whose kernel table has these rows.  Given ``mirror``, the
+    # eta-value of the reversed index, the rows are mirror's read from the
+    # other end, so each cell c[j][k] with w + k odd is negated, the zeta(k)
+    # coefficients are mirror's with the same signs, and only the constant
+    # is summed (the zeta(k) pairs are collected and dropped)
+    flip = -1 if mirror is None else (sum(map(len, rows)) + 1) & 1  # k parity to negate
     # (H_0^(k), ..., H_{r-1}^(k)) for each power k a row after the first
     # reaches; the first row reads only H_0 = 0
-    prefixes = [_harmonic_prefixes(idx.depth - 1, k)
-                for k in range(1, max(idx.parts[1:], default=0) + 1)]
+    prefixes = [_harmonic_prefixes(len(rows) - 1, k)
+                for k in range(1, max(map(len, rows[1:]), default=0) + 1)]
     # the constant -sum c[j][k] H_{j-1}^(k) (key 0) and each zeta(k)
     # coefficient sum_j c[j][k] (key k) as integer pairs
-    pairs: dict[int, list[tuple[int, int]]] = {}
-    for j, row in enumerate(table.pairs):
+    constant: list[tuple[int, int]] = []
+    pairs = {0: constant}
+    for j, row in enumerate(rows):
         for k, (num, den) in enumerate(row, start=1):
             if not num:
                 continue
+            if k & 1 == flip:
+                num = -num
             if k > 1:
                 pairs.setdefault(k, []).append((num, den))
             if j:
                 h = prefixes[k - 1][j]
-                pairs.setdefault(0, []).append((-num * h.numerator, den * h.denominator))
-    return _from_pairs(pairs)
+                constant.append((-num * h.numerator, den * h.denominator))
+    if mirror is None:
+        return _from_pairs(pairs)
+    return ZetaExpr(Fraction(*_lcm_sum(constant)),
+                    [(k, -c if k & 1 == flip else c) for k, c in mirror._items])
+
+
+@lru_cache(maxsize=None)
+def _eta_symbolic_cached(parts: tuple[int, ...]) -> ZetaExpr:
+    # a miss is the one place a key is validated, and a refused key is not cached
+    return _assemble(partial_fraction_shifted(EtaIndex._of_key(parts)).pairs)
+
+
+@lru_cache(maxsize=None)
+def _eta_weight_values(weight: int) -> tuple[tuple[tuple[int, ...], ZetaExpr], ...]:
+    """(index, eta-value) for every index of the weight, in ``compositions``
+    order, with one kernel call per reversal class {s, s reversed}.
+
+    The table of s reversed is that of s read from the other end, each
+    c[j][k] times (-1)^(w+k), and so are its zeta(k) coefficients (see the
+    module docstring).  A weight is converted with ``operator.index`` on a
+    miss: 2.0 misses the entry of 2, as its cache key is the tuple (2.0,),
+    and is refused, like a weight below 2, without being cached.
+    """
+    weight = operator.index(weight)
+    if weight < 2:
+        raise InadmissibleIndexError(f"eta-values need weight >= 2, got {weight}")
+    values = []
+    # the value of each reversed member not yet reached, filled when the
+    # lexicographically first member of its class is
+    ahead: dict[tuple[int, ...], ZetaExpr] = {}
+    for parts in compositions(weight):
+        value = ahead.pop(parts, None)
+        if value is None:
+            rows = partial_fraction_shifted(EtaIndex._of_key(parts)).pairs
+            value = _assemble(rows)
+            if parts[::-1] != parts:
+                ahead[parts[::-1]] = _assemble(rows[::-1], value)
+        values.append((parts, value))
+    return tuple(values)
 
 
 def eta_symbolic(idx: EtaIndex | Iterable[int]) -> ZetaExpr:
@@ -364,8 +418,9 @@ def eta_symbolic(idx: EtaIndex | Iterable[int]) -> ZetaExpr:
     contribute - sum_j c[j][1] H_{j-1}.
 
     Values are cached on ``EtaIndex.key(idx)``, the tuple of exact-int
-    entries, so a repeated call builds no index; the ``EtaIndex`` is built,
-    and its admissibility checked, only on a miss.
+    entries, so a repeated call builds no index; the ``EtaIndex`` is built
+    from the key by ``EtaIndex._of_key``, and its admissibility checked,
+    only on a miss.
     """
     return _eta_symbolic_cached(EtaIndex.key(idx))
 

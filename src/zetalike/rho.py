@@ -13,8 +13,8 @@ series to the exact rational
     rho(s) = 1 / ( |a|! * prod_{k=1..r} (a_k + a_{k+1} + ... + a_r) ),
 
 which is what :func:`rho_exact` evaluates.  Convergence needs s_r >= 2 (so
-every suffix sum is >= 1); admissibility is checked once, when
-:func:`rho_exact` misses its cache and builds the index, and nowhere else.
+every suffix sum is >= 1); admissibility is checked once, on the key, when
+:func:`rho_exact` misses its cache, and nowhere else.
 
 Fixed-weight sums of rho-values never build a value per index.  With |a|
 fixed, rho = 1/(|a|! P), P the product of the suffix sums: top, then top -
@@ -74,9 +74,8 @@ class RhoIndex(Index):
 
     __slots__ = ()
 
-    def __init__(self, parts: Iterable[int]):
-        super().__init__(parts)
-        parts = self.parts
+    @staticmethod
+    def _check(parts: tuple[int, ...]) -> None:
         if not parts:
             raise InadmissibleIndexError("rho-index needs depth >= 1")
         if min(parts) < 1:
@@ -115,14 +114,14 @@ def rho_exact(idx: RhoIndex | Iterable[int]) -> Rational:
     """Exact value 1/(|a|! * prod of suffix sums of a).
 
     Values are cached on ``RhoIndex.key(idx)``, the tuple of exact-int
-    entries, so a repeated call builds no index; the ``RhoIndex`` is built,
-    and its admissibility checked, only on a miss."""
+    entries, so a repeated call builds no index; only a miss checks the
+    key's admissibility, with ``RhoIndex._check``."""
     return _rho_exact_cached(RhoIndex.key(idx))
 
 
 @lru_cache(maxsize=None)
 def _rho_exact_cached(parts: tuple[int, ...]) -> Rational:
-    RhoIndex(parts)  # the admissibility check; a refused key raises and is not cached
+    RhoIndex._check(parts)  # a refused key raises and is not cached
     # the suffix sums of a = s - 1 are those of s less 1, 2, ..., r
     suffix = map(operator.sub, itertools.accumulate(reversed(parts)), itertools.count(1))
     return Fraction(1, math.factorial(sum(parts) - len(parts)) * math.prod(suffix))

@@ -360,16 +360,35 @@ class TestEtaSymbolic:
 
     def test_validates_once_at_the_boundary(self, monkeypatch):
         calls = []
-        check = EtaIndex.__init__
+        check = EtaIndex._check
 
-        def counting(self, parts):
-            calls.append(tuple(parts))
-            check(self, parts)
+        def counting(parts):
+            calls.append(parts)
+            check(parts)
 
-        monkeypatch.setattr(EtaIndex, "__init__", counting)
+        monkeypatch.setattr(EtaIndex, "_check", staticmethod(counting))
         zetalike.eta._eta_symbolic_cached.cache_clear()
         assert eta_symbolic((2, 1, 3)) == pairwise_eta((2, 1, 3))
         assert calls == [(2, 1, 3)]
+        assert eta_symbolic((2, 1, 3)) == pairwise_eta((2, 1, 3))
+        assert calls == [(2, 1, 3)]
+
+    def test_miss_converts_the_entries_once(self, monkeypatch):
+        # a miss builds its index from the exact-int key without running
+        # operator.index over the entries a second time
+        def refuse(self, parts):
+            raise AssertionError(f"a miss rebuilt {type(self).__name__}{tuple(parts)}")
+
+        monkeypatch.setattr(EtaIndex, "__init__", refuse)
+        monkeypatch.setattr(RhoIndex, "__init__", refuse)
+        zetalike.eta._eta_symbolic_cached.cache_clear()
+        zetalike.rho._rho_exact_cached.cache_clear()
+        assert eta_symbolic((2, 1, 3)) == pairwise_eta((2, 1, 3))
+        assert rho_exact((2, 1, 3)) == Fraction(1, 72)
+        with pytest.raises(InadmissibleIndexError):
+            eta_symbolic((0, 2))
+        with pytest.raises(InadmissibleIndexError):
+            rho_exact((2, 1))
 
     def test_kernel_runs_once_per_distinct_index(self, monkeypatch):
         calls = []
@@ -399,6 +418,12 @@ class TestEtaSymbolic:
 
         monkeypatch.setattr(EtaIndex, "__init__", refuse)
         monkeypatch.setattr(RhoIndex, "__init__", refuse)
+
+        def refuse_check(parts):
+            raise AssertionError(f"a warm call checked {parts}")
+
+        monkeypatch.setattr(EtaIndex, "_check", staticmethod(refuse_check))
+        monkeypatch.setattr(RhoIndex, "_check", staticmethod(refuse_check))
         assert eta_symbolic((2, 1, 3)) == pairwise_eta((2, 1, 3))
         assert rho_exact((2, 1, 3)) == Fraction(1, 72)
 
@@ -433,6 +458,90 @@ class TestEtaSymbolic:
             assert eta_symbolic(same) is first
         assert cache.cache_info().currsize == 1
         assert cache.cache_info().hits == 3
+
+
+class TestReversal:
+    """s' = s reversed, of weight w: c'[r+1-j][k] = (-1)^(w+k) c[j][k], and so
+    every zeta(k) coefficient of eta(s') is (-1)^(w+k) times that of eta(s).
+    A symmetry of the kernel, not an independent side: the reference kernel
+    and the series oracle check the values themselves."""
+
+    SHAPES = [c for w in range(2, 13) for c in compositions(w)]
+
+    def test_rows_of_the_reverse_are_the_rows_read_backwards_with_signs(self):
+        assert len(self.SHAPES) == 4094
+        for parts in self.SHAPES:
+            rows = partial_fraction_shifted(parts).pairs
+            reversed_rows = partial_fraction_shifted(parts[::-1]).pairs
+            w, r = sum(parts), len(parts)
+            for j, row in enumerate(rows):
+                mirror = reversed_rows[r - 1 - j]
+                assert len(mirror) == len(row), parts
+                # the pairs are unreduced and either entry may carry the sign,
+                # so compare n'/d' with (-1)^(w+k) n/d by cross-multiplying
+                for k, ((num, den), (rnum, rden)) in enumerate(zip(row, mirror), start=1):
+                    assert rnum * den == (-1) ** (w + k) * num * rden, (parts, j, k)
+
+    def test_zeta_coefficients_of_the_reverse_carry_the_sign(self):
+        for parts in self.SHAPES:
+            w = sum(parts)
+            want = {k: (-1) ** (w + k) * c for k, c in eta_symbolic(parts).coeffs.items()}
+            assert eta_symbolic(parts[::-1]).coeffs == want, parts
+
+    def test_class_and_palindrome_counts(self):
+        classes = {min(parts, parts[::-1]) for parts in self.SHAPES}
+        assert len(classes) == 2141
+        assert sum(parts == parts[::-1] for parts in self.SHAPES) == 188
+
+
+class TestWeightBatch:
+    def test_matches_the_per_index_values_with_one_kernel_call_per_class(self, monkeypatch):
+        calls = []
+        kernel = zetalike.eta.partial_fraction_shifted
+
+        def counting(idx):
+            calls.append(tuple(EtaIndex.coerce(idx).parts))
+            return kernel(idx)
+
+        monkeypatch.setattr(zetalike.eta, "partial_fraction_shifted", counting)
+        batch = zetalike.eta._eta_weight_values
+        batch.cache_clear()
+        values = {w: batch(w) for w in range(2, 13)}
+        # the kernel ran once per reversal class, on its first member
+        assert len(calls) == 2141
+        assert calls == [c for w in range(2, 13) for c in compositions(w) if c <= c[::-1]]
+        # a warm weight is one cache hit
+        assert all(batch(w) is values[w] for w in values)
+        assert len(calls) == 2141
+        zetalike.eta._eta_symbolic_cached.cache_clear()
+        for w, got in values.items():
+            assert list(got) == [(idx, eta_symbolic(idx)) for idx in indices(w)], w
+
+    @pytest.mark.parametrize("bad, error", [(1, InadmissibleIndexError),
+                                            (0, InadmissibleIndexError), (2.0, TypeError)])
+    def test_refused_weight_is_not_cached(self, bad, error):
+        batch = zetalike.eta._eta_weight_values
+        batch.cache_clear()
+        batch(2)  # warm: 2.0 == 2 and the two hash alike
+        for _ in range(2):
+            with pytest.raises(error):
+                batch(bad)
+        assert batch.cache_info().currsize == 1
+
+    def test_reversed_members_match_the_series_oracle(self):
+        # the table-eta fixtures stop at weight 6; the oracle shares no code
+        # with the kernel.  Each sampled index comes with its reverse, which
+        # the batch assembles from the sampled index's table or the other way
+        rng = random.Random(31)
+        for w in range(7, 13):
+            values = dict(zetalike.eta._eta_weight_values(w))
+            firsts = sorted(c for c in values if c < c[::-1])
+            for parts in rng.sample(firsts, 3):
+                for idx in (parts, parts[::-1]):
+                    oracle = eta_numeric(idx, "oracle", 1e-10)
+                    exact = values[idx].numeric(20)
+                    assert oracle.error_bound <= 1e-10
+                    assert abs(oracle.value - exact.value) <= oracle.error_bound + exact.error_bound, idx
 
 
 class TestEtaNumeric:

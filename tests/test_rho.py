@@ -117,13 +117,13 @@ class TestRhoExact:
 
     def test_validates_once_at_the_boundary(self, monkeypatch):
         calls = []
-        check = RhoIndex.__init__
+        check = RhoIndex._check
 
-        def counting(self, parts):
-            calls.append(tuple(parts))
-            check(self, parts)
+        def counting(parts):
+            calls.append(parts)
+            check(parts)
 
-        monkeypatch.setattr(RhoIndex, "__init__", counting)
+        monkeypatch.setattr(RhoIndex, "_check", staticmethod(counting))
         zetalike.rho._rho_exact_cached.cache_clear()
         assert rho_exact((2, 1, 3)) == Fraction(1, 72)
         assert calls == [(2, 1, 3)]

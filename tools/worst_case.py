@@ -20,9 +20,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT = 60.0
 ONES = ",".join(["1"] * 2828)
-# each sits just inside a cap (MAX_ETA_WEIGHT, MAX_ETA_WORK, MAX_ZETA_WORK) or
-# prints pi^k through the Bernoulli numbers up to B_k
+# each sits just inside a cap (MAX_ETA_WEIGHT, MAX_ETA_WORK, MAX_ZETA_WORK,
+# MAX_TABLE_WEIGHT) or prints pi^k through the Bernoulli numbers up to B_k
 CASES = [
+    "table eta --weight 12 --render pi",
     "eta 10000 --render pi",
     f"eta {ONES}",
     "eta 4000 --render pi",
