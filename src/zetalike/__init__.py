@@ -27,8 +27,7 @@ _HOMES = {
                  "mzv_star_truncated"),
     "numeric": ("ApproxReal", "Rational", "bernoulli_number", "zeta_constant",
                 "zeta_pi_power_factor"),
-    "rho": ("RhoIndex", "rho_alternating", "rho_exact", "rho_head_ones", "rho_increasing",
-            "rho_series_partial_at", "rho_uniform", "suffix_balance_sum"),
+    "rho": ("RhoIndex", "rho_exact", "rho_series_partial_at", "suffix_balance_sum"),
     "verify": ("SUITES", "VerificationReport", "rerun", "run_check", "run_suite"),
 }
 _HOME_OF = {name: home for home, names in _HOMES.items() for name in names}

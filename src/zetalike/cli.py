@@ -29,27 +29,26 @@ from .rho import RhoIndex, indices, rho_exact
 from .verify import SUITES, run_suite, value_to_json
 
 MAX_TABLE_WEIGHT = 12
-# on a 2-vCPU VM eta 10000 takes about 0.15 s symbolic and 0.25 s numeric,
-# and eta 9999,1 about 0.9 s symbolic; far larger weights run for minutes or
-# end in OverflowError or MemoryError.  With --render pi, eta 10000 runs about
-# 90 s, eta 4000 about 6 s and eta 3000,2 about 3 s before the value is
-# refused as too long to print: the render first builds one k/2-entry
-# tangent-number table for the largest k, O(k^2) big-integer steps
+# the times below are one tools/worst_case.py run on a 2-vCPU VM, fresh
+# interpreter included.  eta 9999,1 takes 0.16 s symbolic and eta 10000
+# 0.17 s numeric; far larger weights run for minutes or end in OverflowError
+# or MemoryError.  With --render pi, eta 10000 runs 72 s, eta 4000 4.0 s and
+# eta 3000,2 2.1 s before the value is refused as too long to print: the
+# render first builds one k/2-entry tangent-number table for the largest k,
+# O(k^2) big-integer steps
 MAX_ETA_WEIGHT = 10_000
 # partial_fraction_shifted gives a pole of order s_j (s_j - 1)(w - s_j) series
 # steps and r - 1 powers for its denominator (r the depth).  Summed over the
 # poles, each count is at most 2 sum_{i<j} s_i s_j, the sum this caps and the
 # weight cap does not bound.  The integers grow with the index, so a step has
-# no fixed cost: on a 2-vCPU VM eta 2000,2000 (4e6) takes 2.6-3.2 s, and
-# eta 1,...,1 at depth 2828 (4.0e6) runs 8.6-12.9 s, most of it on the
-# denominators, before it is refused as too long to print
+# no fixed cost: eta 2000,2000 (4e6) takes 1.4 s, and eta 1,...,1 at depth
+# 2828 (4.0e6) runs 4.8 s, most of it on the denominators, before it is
+# refused as too long to print
 MAX_ETA_WORK = 4_000_000
 # a numeric eta-value evaluates zeta(k) for each k = 2..max(s), or k = s
 # alone at depth 1, and zeta_constant(k, ...) takes about k^2 steps, as its
-# head sits over lcm(1..7)^k: at the default --digits, eta 2000,1 (2.7e9)
-# takes about 4 s on a 2-vCPU VM, and eta 9999,1 (3.3e11) took 249 s.  Those
-# times hold at the default --digits only: at --digits 300, eta 500,1 takes
-# 2.9 s and eta 2000,1 6.5 s
+# head sits over lcm(1..7)^k: at --digits 300, eta 2000,1 (2.7e9) takes
+# 4.0 s and eta 500,1 1.9 s, and the cap refuses eta 9999,1 (3.3e11)
 MAX_ZETA_WORK = 2_700_000_000
 
 

@@ -6,7 +6,8 @@ cut points in [0, n], and an index of weight w and depth d (entries >= 1) is
 the gaps between d-1 strictly increasing cut points 0 < c_1 < ... < c_{d-1}
 < w.  Tuples are yielded in lexicographic order, which table emission and
 report ordering rely on, and the enumerators are streaming (no materialized
-lists).
+lists).  No ``src`` module calls :func:`weak_compositions`: it stays for the
+tests and for the benchmark's tracer, which patches it by name.
 
 :class:`Index` is the tuple of entries that ``rho.RhoIndex`` and
 ``eta.EtaIndex`` share; each subclass adds only its admissibility check.  It

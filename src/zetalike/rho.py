@@ -1,5 +1,4 @@
-"""Multiple rho-values: exact evaluation, the defining-series oracle, and the
-closed families.
+"""Multiple rho-values: exact evaluation and the defining-series oracle.
 
 A rho-index is written the way it prints, rho(s_1, ..., s_r); internally the
 shifted exponents a_j = s_j - 1 drive everything.  The defining series is the
@@ -57,10 +56,6 @@ __all__ = [
     "rho_exact",
     "rho_series_partial_at",
     "suffix_balance_sum",
-    "rho_head_ones",
-    "rho_uniform",
-    "rho_alternating",
-    "rho_increasing",
 ]
 
 # rho_series_partial_at ends a segment at every multiple of this, so its
@@ -225,45 +220,3 @@ def _suffix_balance_cached(q: int, n: int) -> Rational:
     factors = map(operator.itemgetter(slice(q)), map((top,).__add__, sums))
     return Fraction(sum(map(common.__floordiv__, map(math.prod, factors))), common)
 
-
-# --------------------------------------------------------------------------
-# Closed families
-# --------------------------------------------------------------------------
-
-def rho_head_ones(p: int, inner: Iterable[int]) -> Rational:
-    """Prefixing p ones: rho({1}^p, s) = |a|^(-p) rho(s), with |a| the shifted
-    weight of the inner index (>= 1 whenever the inner index is admissible)."""
-    if p < 0:
-        raise ValueError(f"need p >= 0, got {p}")
-    inner_idx = RhoIndex.coerce(inner)
-    return rho_exact(inner_idx) / Fraction(sum(inner_idx.alpha)) ** p
-
-
-def rho_uniform(a: int, n: int) -> Rational:
-    """Constant index: rho({a+1}^n) = 1/(a^n n! (na)!)."""
-    if a < 1 or n < 1:
-        raise InadmissibleIndexError(f"uniform family needs a, n >= 1, got ({a}, {n})")
-    return Fraction(1, a**n * math.factorial(n) * math.factorial(n * a))
-
-
-def rho_alternating(a: int, n: int) -> Rational:
-    """Alternating index: rho({1, a+1}^n) = 1/(a^(2n) (na)! n!^2)."""
-    if a < 1 or n < 1:
-        raise InadmissibleIndexError(
-            f"alternating family needs a, n >= 1, got ({a}, {n})"
-        )
-    return Fraction(1, a ** (2 * n) * math.factorial(n * a) * math.factorial(n) ** 2)
-
-
-def rho_increasing(n: int) -> Rational:
-    """Staircase index: rho(1, 2, ..., n) = 2^(n+1)(2n-1) / ((n-1) (2n)! (n(n-1)/2)!).
-
-    Needs n >= 2; at n = 1 the (n-1) factor vanishes, matching the divergence
-    of the depth-1 all-ones index.
-    """
-    if n < 2:
-        raise InadmissibleIndexError(f"increasing family needs n >= 2, got {n}")
-    return Fraction(
-        2 ** (n + 1) * (2 * n - 1),
-        (n - 1) * math.factorial(2 * n) * math.factorial(n * (n - 1) // 2),
-    )

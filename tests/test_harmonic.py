@@ -84,6 +84,12 @@ class TestMzvStar:
         with pytest.raises(PoleError):
             mzv_star_truncated(4, 2, -3)
 
+    @pytest.mark.parametrize("n, m", [(-1, 2), (2, -1)])
+    def test_negative_length_or_depth_raises(self, n, m):
+        # either one negative is refused on its own
+        with pytest.raises(ValueError):
+            mzv_star_truncated(n, m)
+
     def test_matches_fraction_recurrence(self):
         shifts = [*range(7), Fraction(1, 2), Fraction(1, 3), Fraction(-1, 2), Fraction(-7, 3)]
         for n in range(21):
@@ -118,6 +124,12 @@ class TestAlternatingBinomialSum:
         assert alternating_binomial_sum(0, 1) == 1
         assert alternating_binomial_sum(1, 1) == Fraction(1, 2)
         assert alternating_binomial_sum(2, 2) == Fraction(11, 18)
+
+    @pytest.mark.parametrize("n, m", [(-1, 2), (2, 0)])
+    def test_out_of_range_arguments_raise(self, n, m):
+        # either n < 0 or m < 1 is refused on its own
+        with pytest.raises(ValueError):
+            alternating_binomial_sum(n, m)
 
     def test_bell_identity_grid(self):
         for n in range(11):

@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import os
 import pkgutil
 import subprocess
@@ -248,21 +250,83 @@ def test_mpmath_and_numpy_load_only_on_the_numeric_paths():
 
 
 def test_import_loads_every_module_the_tracer_patches():
-    # perfbench/tracing.py patches sys.modules["zetalike.<module>"] for each
-    # target once the benchmark has imported zetalike.cli, so a module loaded
-    # lazily would end a traced run in a KeyError
+    # perfbench/tracing.py patches sys.modules["zetalike.<module>"].<attribute>
+    # for each target once the benchmark has imported zetalike.cli, so a
+    # module loaded lazily would end a traced run in a KeyError, and a renamed
+    # or deleted attribute in an AttributeError
     tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text())
     targets = next(
         node.value for node in tree.body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
     )
-    modules = sorted({entry.elts[0].value for entry in targets.elts})
+    targets = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    modules = sorted({module for module, _ in targets})
     assert "quadrature" in modules
+    assert ("compositions", "weak_compositions") in targets
     code = (
         "import sys, zetalike.cli\n"
         f"print([m for m in {modules!r} if 'zetalike.' + m not in sys.modules])\n"
+        f"print([t for t in {targets!r}\n"
+        "       if not hasattr(sys.modules.get('zetalike.' + t[0]), t[1])])\n"
     )
-    assert _fresh(code).strip() == "[]"
+    assert _fresh(code).splitlines() == ["[]", "[]"]
+
+
+# the root exports that no command or check calls, each with why it stays
+UNREACHED = {
+    # perfbench/tracing.py's TARGETS patches it by name, so deleting it would
+    # end every traced benchmark run; it waits for ROADMAP's Benchmark v2
+    "weak_compositions",
+    # link B of ROADMAP's Theorem chain, which will reach it
+    "alternating_binomial_sum",
+    # the rho oracle that tests and the benchmark's oracle workload compare
+    # rho_exact against
+    "rho_series_partial_at",
+    # README documents it
+    "rerun",
+}
+# every table weight, format and render, and each rho, eta and numeric eta form
+REACH_ARGV = [
+    ["verify", "--suite", "all"],
+    *(["table", family, "--weight", str(weight), "--format", fmt, "--render", render]
+      for family in ("rho", "eta") for weight in range(2, 13)
+      for fmt in ("markdown", "csv", "json") for render in ("zeta", "pi")),
+    *(["rho", "2,1,3", "--format", fmt] for fmt in ("text", "json")),
+    *(["eta", "1,2", "--render", render, "--format", fmt]
+      for render in ("zeta", "pi") for fmt in ("text", "json")),
+    *(["eta", "2,1", "--mode", "numeric", "--format", fmt] for fmt in ("text", "json")),
+]
+
+
+def test_every_root_function_is_reached_by_a_command():
+    # a function is reached when its code runs under some argv, with every
+    # cache cleared so that a cached layer runs too; lru_cache wrappers are
+    # unwrapped to the function whose code runs on a miss.  Classes and
+    # SUITES are types and values, not calls
+    import zetalike.cli
+
+    exports = {name: getattr(zetalike, name) for name in zetalike.__all__}
+    functions = {name: inspect.unwrap(obj) for name, obj in exports.items()
+                 if callable(obj) and not inspect.isclass(obj)}
+    assert all(map(inspect.isfunction, functions.values()))
+    for name in MODULES:
+        for obj in vars(importlib.import_module(name)).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [zetalike.cli.run(argv) for argv in REACH_ARGV]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(REACH_ARGV)
+    assert {name for name, f in functions.items() if f.__code__ not in called} == UNREACHED
 
 
 def _subclasses(cls: type):
