@@ -23,10 +23,14 @@ x^(-k) is completely monotone, so the remainder alternates).  The returned
 error bound is that rational certificate plus the float-conversion slack.
 
 It runs in integers: B_2..B_160 come from one tangent-number table (Brent
-and Harvey, 2013), the search for N tests each correction by integer
-cross-products, and only the accepted N builds its value, the head over
-lcm(1..N-1)^k.  Value and certificate equal those of a term-by-term
-``Fraction`` evaluation, so every printed digit and bound is unchanged.
+and Harvey, 2013), and the search for N, always a power of two, tests each
+correction by integer cross-products in which every power of N is a shift.
+Only the accepted N builds its value.  Its head sum_{n<N} n^-k is split in
+halves down to single terms, each half a numerator over the k-th power of
+its range's lcm (binary splitting, Haible and Papanikolaou, 1998), which
+gives the numerator over lcm(1..N-1)^k that summing term by term gives.
+Value and certificate equal those of a term-by-term ``Fraction``
+evaluation, so every printed digit and bound is unchanged.
 
 mpmath is imported inside the functions that build or print an
 :class:`ApproxReal`, here and in ``eta``, ``cli`` and ``verify``, on their
@@ -186,9 +190,13 @@ def _zeta_tail_rational(k: int, digits: int) -> tuple[Fraction, Fraction]:
     """Exact Euler-Maclaurin value of zeta(k) with remainder bound
     <= eps = 10^-digits / 2.
 
-    With c_j = B_{2j} (k)_{2j-1} / (2j)! = p_j / q_j, the cutoff n0 doubles
-    from 8 until, within 80 corrections, |p_j| den(eps) <= num(eps) q_j
-    n0^(k+2j-1); it is given up once |c_j| >= |c_{j-1}| n0^2.
+    With c_j = B_{2j} (k)_{2j-1} / (2j)! = p_j / q_j, the cutoff n0 = 2^e
+    doubles from 8 until, within 80 corrections, |c_j| n0^(1-k-2j) <= eps,
+    tested as |p_j| den(eps) <= num(eps) (q_j << e(k+2j-1)); n0 is given up
+    once |c_j| >= |c_{j-1}| n0^2, a shift by 2e.  No power of n0 is
+    multiplied out, and the first fitting (n0, j) and the certificate
+    |p_j| / (q_j << e(k+2j-1)) are those of the term-by-term ``Fraction``
+    evaluation.
     """
     eps = Fraction(1, 2 * 10**digits)
     coeffs = []
@@ -200,33 +208,44 @@ def _zeta_tail_rational(k: int, digits: int) -> tuple[Fraction, Fraction]:
         fact *= (2 * j + 1) * (2 * j + 2)
     fits = [(abs(p) * eps.denominator, eps.numerator * q) for p, q in coeffs]
     grows = [(abs(p) * q0, abs(p0) * q) for (p0, q0), (p, q) in zip(coeffs, coeffs[1:])]
-    n0 = 8
-    while n0 <= 1 << 24:
-        power = n0 ** (k + 1)  # n0^(k+2j-1)
+    for e in range(3, 25):  # n0 = 2^e
+        shift = e * (k + 1)  # n0^(k+2j-1) = 1 << shift
         for j, (lhs, rhs) in enumerate(fits):
             # certificate: magnitude of the first omitted correction term
-            if lhs <= rhs * power:
+            if lhs <= rhs << shift:
                 p, q = coeffs[j]
-                return _em_value(k, n0, coeffs[:j]), Fraction(abs(p), q * power)
-            if j and grows[j - 1][0] >= grows[j - 1][1] * n0 * n0:
+                return _em_value(k, 1 << e, coeffs[:j]), Fraction(abs(p), q << shift)
+            if j and grows[j - 1][0] >= grows[j - 1][1] << 2 * e:
                 break  # asymptotic divergence; need a larger n0
-            power *= n0 * n0
-        n0 *= 2
+            shift += 2 * e
     raise ToleranceError(f"zeta({k}) to {digits} digits exceeded the summation budget")
+
+
+def _head(k: int, lo: int, hi: int) -> tuple[int, int]:
+    """(a, m) with sum_{lo<=n<hi} n^-k = a / m^k, m = lcm(lo..hi-1) and
+    a = sum (m/n)^k, for lo < hi: split in halves down to single terms, and
+    scale each half's numerator by (m / its lcm)^k."""
+    if hi - lo == 1:
+        return 1, lo
+    mid = (lo + hi) // 2
+    a, ma = _head(k, lo, mid)
+    b, mb = _head(k, mid, hi)
+    m = math.lcm(ma, mb)
+    return a * (m // ma) ** k + b * (m // mb) ** k, m
 
 
 def _em_value(k: int, n0: int, coeffs) -> Fraction:
     """sum_{n<n0} n^-k + n0^(1-k)/(k-1) + n0^-k/2 + sum_{j<=J} c_j n0^(1-k-2j):
-    the head over lcm(1..n0-1)^k, the rest over 2(k-1) lcm(q_j) n0^(k+2J+1)."""
-    den = math.lcm(*range(1, n0)) ** k
-    head = sum(den // n**k for n in range(1, n0))
+    the head over lcm(1..n0-1)^k, as :func:`_head` splits it, the rest over
+    2(k-1) lcm(q_j) n0^(k+2J+1)."""
+    head, m = _head(k, 1, n0)
     common = math.lcm(1, *(q for _, q in coeffs))
     corr = 0
     for p, q in coeffs:  # Horner in n0^2
         corr = (corr + p * (common // q)) * n0 * n0
     span = n0 ** (2 * len(coeffs) + 1)
     tail = common * span * (2 * n0 + k - 1) + 2 * (k - 1) * corr
-    return Fraction(head, den) + Fraction(tail, 2 * (k - 1) * common * span * n0**k)
+    return Fraction(head, m**k) + Fraction(tail, 2 * (k - 1) * common * span * n0**k)
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,6 +20,13 @@ from zetalike import (
 from zetalike import numeric
 
 
+class TestLcmSum:
+    def test_one_numerator_over_the_running_lcm(self):
+        assert numeric._lcm_sum([]) == (0, 1)
+        assert numeric._lcm_sum([(1, 3)]) == (1, 3)
+        assert numeric._lcm_sum([(1, 4), (1, 6), (-2, 3)]) == (-3, 12)
+
+
 class TestBernoulli:
     def test_small_values(self):
         expected = {
@@ -67,6 +74,16 @@ class TestBernoulli:
         assert numeric._bernoulli_table.cache_info().currsize == 1
         value.render("zeta")
         assert numeric._pi_power_factors.cache_info().currsize == 1
+
+    def test_table_is_sized_to_the_request(self):
+        # B_400 and the pi factors up to pi^400 both read the 200-entry table
+        for cache in (numeric._bernoulli_table, numeric.bernoulli_number,
+                      numeric._pi_power_factors):
+            cache.cache_clear()
+        numeric.bernoulli_number(400)
+        numeric._pi_power_factors(400)
+        numeric._bernoulli_table(200)
+        assert numeric._bernoulli_table.cache_info().misses == 1
 
     def test_pi_render_matches_recurrence(self):
         # zeta(k) = (-1)^(k/2+1) B_k 2^(k-1) / k! pi^k, with B_k from the
@@ -132,14 +149,53 @@ class TestZetaConstant:
         with pytest.raises(ToleranceError):
             zeta_constant.__wrapped__(2, 10)
 
-    @pytest.mark.parametrize("digits", [1, 2, 10, 20, 57, 100, 150, 211, 299, 300])
-    @pytest.mark.parametrize("k", range(2, 13))
+    # at large k n0 stays small and the powers of n0 are long shifts; at
+    # (2, 134) the 80-correction limit decides n0 (128, where 81 would give 64)
+    @pytest.mark.parametrize("k, digits", [
+        *((k, d) for d in (1, 2, 10, 20, 57, 100, 150, 211, 299, 300) for k in range(2, 13)),
+        *((k, d) for d in (1, 57, 300) for k in (20, 60, 200)),
+        (2, 134),
+    ])
     def test_tail_matches_fraction_reference(self, k, digits):
         # same value and same certificate, so every printed digit and bound
         got = numeric._zeta_tail_rational(k, digits)
         want = fraction_zeta_tail(k, Fraction(1, 2 * 10**digits))
         assert got == want
         assert all(type(x) is Fraction for x in got)
+
+    def test_cutoff_budget_ends_at_two_to_the_24(self, monkeypatch):
+        # zeta(2) to 1000 digits first fits at n0 = 2^24, with 79 corrections,
+        # and to 1030 digits only at 2^25, past the budget: the search is
+        # read without building the 2^24-term head
+        monkeypatch.setattr(numeric, "_em_value", lambda k, n0, coeffs: (n0, len(coeffs)))
+        assert numeric._zeta_tail_rational(2, 1000)[0] == (1 << 24, 79)
+        with pytest.raises(ToleranceError, match="summation budget"):
+            numeric._zeta_tail_rational(2, 1030)
+
+    @pytest.mark.parametrize("n0", [*(1 << e for e in range(1, 12)), 3, 7, 100, 1001])
+    @pytest.mark.parametrize("k", [2, 3, 9, 40])
+    def test_split_head_matches_direct_sum(self, k, n0):
+        # the same integers, not only the same value: Fraction(head, den)
+        # then reduces exactly as the term-by-term head did
+        den = math.lcm(*range(1, n0))
+        direct = sum(den**k // n**k for n in range(1, n0))
+        assert numeric._head(k, 1, n0) == (direct, den)
+
+    @pytest.mark.parametrize("k, digits", [(2, 1), (3, 57), (7, 57), (10, 300), (200, 20)])
+    def test_value_and_bound_are_the_documented_roundings(self, k, digits):
+        # _slack is one rounding allowance for a value computed at dps + 8,
+        # dps = digits + 10, and the certificate is widened by one part in
+        # 10^6 for its own rounding, so the bound never drops below it: both,
+        # bit for bit
+        val, cert = numeric._zeta_tail_rational(k, digits)
+        got = zeta_constant(k, digits)
+        assert got.dps == digits + 10
+        with mpmath.mp.workdps(digits + 18):
+            v = mpmath.mpf(val.numerator) / mpmath.mpf(val.denominator)
+            c = mpmath.mpf(cert.numerator) / mpmath.mpf(cert.denominator)
+            assert got.value == v
+            assert got.error_bound == c * (1 + mpmath.mpf(10) ** -6) + numeric._slack(digits + 10, v)
+            assert got.error_bound > c
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(k=st.integers(2, 20), digits=st.integers(1, 300))
